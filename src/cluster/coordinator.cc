@@ -12,15 +12,9 @@ namespace datacron {
 
 ClusterEngine::ClusterEngine(Options opts,
                              std::vector<std::unique_ptr<Transport>> nodes)
-    : opts_(std::move(opts)),
-      local_(opts_.engine),
+    : local_(std::move(opts.engine)),
       nodes_(std::move(nodes)),
-      watermarks_(nodes_.size()) {
-  if (opts_.engine.epoch_size == 0) opts_.engine.epoch_size = 1;
-  if (opts_.engine.max_epochs_in_flight == 0) {
-    opts_.engine.max_epochs_in_flight = 1;
-  }
-}
+      watermarks_(nodes_.size()) {}
 
 Status ClusterEngine::Connect() {
   if (connected_) return Status::OK();
@@ -59,6 +53,94 @@ Status ClusterEngine::Connect() {
   return Status::OK();
 }
 
+Status ClusterEngine::ValidateReplies(
+    const PendingEpoch& e, const std::vector<EpochResultMsg>& replies) const {
+  using ShardSlot = DatacronEngine::ShardSlot;
+  for (std::size_t n = 0; n < replies.size(); ++n) {
+    const EpochResultMsg& r = replies[n];
+    if (r.epoch != e.id) {
+      return Status::Internal("epoch result out of order");
+    }
+    if (r.dict_size_before != remap_[n].size()) {
+      return Status::Internal("node dictionary delta stream out of sync");
+    }
+    if (r.slots.size() != e.routing.by_part[n].size()) {
+      return Status::Internal("epoch result count mismatch");
+    }
+    // Each watermark column cuts its buffer into per-report slices: it
+    // never decreases and ends exactly at the buffer's size.
+    const auto cuts = [&r](std::size_t ShardSlot::*mark, std::size_t size) {
+      std::size_t prev = 0;
+      for (const ShardSlot& slot : r.slots) {
+        if (slot.*mark < prev) return false;
+        prev = slot.*mark;
+      }
+      return prev == size;
+    };
+    if (!cuts(&ShardSlot::terms_end, r.new_terms.size()) ||
+        !cuts(&ShardSlot::triples_end, r.triples.size()) ||
+        !cuts(&ShardSlot::episodes_end, r.episodes.size()) ||
+        !cuts(&ShardSlot::events_end, r.events.size()) ||
+        !cuts(&ShardSlot::subs_end, r.sub_deltas.size())) {
+      return Status::Internal("epoch result watermarks do not cut its arena");
+    }
+    // A report's triples may name only terms its node had interned by the
+    // end of that report; the epoch-level side tables, any term of the
+    // epoch.
+    const auto known = [](TermId id, std::uint64_t limit) {
+      return id != kInvalidTermId && id <= limit;
+    };
+    std::size_t t = 0;
+    for (const ShardSlot& slot : r.slots) {
+      const std::uint64_t limit = r.dict_size_before + slot.terms_end;
+      for (; t < slot.triples_end; ++t) {
+        const Triple& triple = r.triples[t];
+        if (!known(triple.s, limit) || !known(triple.p, limit) ||
+            !known(triple.o, limit)) {
+          return Status::Internal("triple term id outside node dictionary");
+        }
+      }
+    }
+    const std::uint64_t limit = r.dict_size_before + r.new_terms.size();
+    for (const auto& [id, tag] : r.tags) {
+      if (!known(id, limit)) {
+        return Status::Internal("tag term id outside node dictionary");
+      }
+    }
+    for (const auto& [id, geo] : r.node_geo) {
+      if (!known(id, limit)) {
+        return Status::Internal("node-geo term id outside node dictionary");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+namespace {
+
+/// Node dictionary id k as an arena-local id: the coordinator's remap for
+/// that node holds k's canonical id at index k - 1.
+TermId ArenaLocal(TermId node_id) { return kLocalTermBit | (node_id - 1); }
+
+/// Moves a validated reply into the engine's arena shape.
+void MoveToArena(EpochResultMsg& r, DatacronEngine::EpochArena* a) {
+  a->new_terms = std::move(r.new_terms);
+  a->triples = std::move(r.triples);
+  for (Triple& t : a->triples) {
+    t = {ArenaLocal(t.s), ArenaLocal(t.p), ArenaLocal(t.o)};
+  }
+  a->episodes = std::move(r.episodes);
+  a->events = std::move(r.events);
+  a->sub_deltas = std::move(r.sub_deltas);
+  for (const auto& [id, tag] : r.tags) a->tags.emplace(ArenaLocal(id), tag);
+  for (const auto& [id, geo] : r.node_geo) {
+    a->node_geo.emplace(ArenaLocal(id), geo);
+  }
+  for (const auto& [id, count] : r.sub_counts) a->sub_counts[id] = count;
+}
+
+}  // namespace
+
 Status ClusterEngine::RetireFront(std::deque<PendingEpoch>* ring,
                                   std::vector<Event>* events) {
   PendingEpoch& e = ring->front();
@@ -73,107 +155,45 @@ Status ClusterEngine::RetireFront(std::deque<PendingEpoch>* ring,
     MsgType type;
     if (Status s = DecodeType(payload.value(), &type); !s.ok()) return s;
     if (type == MsgType::kWatermark) {
+      // An empty sub-batch's reply: an empty arena that interned nothing.
       WatermarkMsg wm;
       if (Status s = Decode(payload.value(), &wm); !s.ok()) return s;
-      if (wm.epoch != e.id) {
-        return Status::Internal("epoch watermark out of order");
-      }
-      if (!e.routing.by_part[n].empty()) {
-        return Status::Internal("watermark reply for a nonempty sub-batch");
-      }
       replies[n].epoch = wm.epoch;
-    } else {
-      if (Status s = Decode(payload.value(), &replies[n]); !s.ok()) return s;
-      if (replies[n].epoch != e.id) {
-        return Status::Internal("epoch result out of order");
-      }
-      if (replies[n].dict_size_before != remap_[n].size()) {
-        return Status::Internal("node dictionary delta stream out of sync");
-      }
-      if (replies[n].results.size() != e.routing.by_part[n].size()) {
-        return Status::Internal("epoch result count mismatch");
-      }
-      std::uint64_t claimed = 0;
-      for (const WireReportResult& res : replies[n].results) {
-        claimed += res.new_term_count;
-      }
-      if (claimed != replies[n].new_terms.size()) {
-        return Status::Internal("epoch dictionary delta count mismatch");
-      }
+      replies[n].dict_size_before = remap_[n].size();
+    } else if (Status s = Decode(payload.value(), &replies[n]); !s.ok()) {
+      return s;
     }
-    watermarks_.Advance(n, e.id);
-  }
-  if (!watermarks_.AllPassed(e.id)) {
-    return Status::Internal("epoch barrier did not release");
   }
   recv_span.End();
 
+  DATACRON_TRACE_SPAN("cluster.epoch_absorb", "cluster");
+  // Every reply is checked before any of it reaches coordinator state, so
+  // a bad reply leaves the coordinator exactly as it was.
+  if (Status s = ValidateReplies(e, replies); !s.ok()) return s;
+  for (std::size_t n = 0; n < n_nodes; ++n) watermarks_.Advance(n, e.id);
+  if (!watermarks_.AllPassed(e.id)) {
+    return Status::Internal("epoch barrier did not release");
+  }
+
+  // The replies become the epoch's arenas, one per node, and the slots
+  // return to input order; AbsorbEpoch imports each report's term slice
+  // into its node's persistent remap in that order.
   static obs::Counter* delta_terms_counter =
       obs::MetricsRegistry::Global().counter("cluster.delta_terms");
-
-  // Absorb per report in *input* order, remapping each report's outputs
-  // through its node's id table right after importing the report's slice
-  // of the node's coalesced epoch dictionary delta — this interleaving is
-  // what reproduces the serial engine's first-occurrence id assignment
-  // even though each node ships one delta per epoch.
-  DATACRON_TRACE_SPAN("cluster.epoch_absorb", "cluster");
-  std::vector<std::size_t> cursor(n_nodes, 0);
-  std::vector<std::size_t> term_cursor(n_nodes, 0);
-  for (std::size_t i = 0; i < e.items.size(); ++i) {
-    const std::size_t n =
-        static_cast<std::size_t>(MixU64(e.items[i].entity_id) % n_nodes);
-    WireReportResult& res = replies[n].results[cursor[n]++];
-    std::vector<TermId>& remap = remap_[n];
-    if (res.new_term_count > 0) {
-      DATACRON_TRACE_SPAN("cluster.delta_import", "cluster");
-      delta_terms_counter->Add(res.new_term_count);
-      local_.dictionary()->ImportDelta(
-          std::span<const TermExport>(replies[n].new_terms)
-              .subspan(term_cursor[n], res.new_term_count),
-          &remap);
-      term_cursor[n] += res.new_term_count;
+  std::vector<DatacronEngine::EpochArena> arenas(n_nodes);
+  std::vector<DatacronEngine::ShardSlot> slots(e.items.size());
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    EpochResultMsg& r = replies[n];
+    delta_terms_counter->Add(r.new_terms.size());
+    const std::vector<std::uint32_t>& routed = e.routing.by_part[n];
+    for (std::size_t j = 0; j < routed.size(); ++j) {
+      slots[routed[j]] = r.slots[j];
+      slots[routed[j]].arena = static_cast<std::uint32_t>(n);
     }
-
-    DatacronEngine::ReportOutput out;
-    out.cp_count = res.cp_count;
-    out.keyed_events = std::move(res.keyed_events);
-    out.episodes = std::move(res.episodes);
-    out.triples.reserve(res.triples.size());
-    for (const Triple& t : res.triples) {
-      if (t.s == kInvalidTermId || t.s > remap.size() ||
-          t.p == kInvalidTermId || t.p > remap.size() ||
-          t.o == kInvalidTermId || t.o > remap.size()) {
-        return Status::Internal("triple term id outside node dictionary");
-      }
-      out.triples.push_back(
-          {remap[t.s - 1], remap[t.p - 1], remap[t.o - 1]});
-    }
-    for (const auto& [id, tag] : res.tags) {
-      if (id == kInvalidTermId || id > remap.size()) {
-        return Status::Internal("tag term id outside node dictionary");
-      }
-      out.tags.emplace(remap[id - 1], tag);
-    }
-    for (const auto& [id, geo] : res.node_geo) {
-      if (id == kInvalidTermId || id > remap.size()) {
-        return Status::Internal("node-geo term id outside node dictionary");
-      }
-      out.node_geo.emplace(remap[id - 1], geo);
-    }
-    out.sub_deltas = std::move(res.sub_deltas);
-    for (const auto& [id, count] : res.sub_counts) {
-      out.sub_counts[id] = count;
-    }
-    out.synopses_ns = res.synopses_ns;
-    out.transform_ns = res.transform_ns;
-    out.keyed_cep_ns = res.keyed_cep_ns;
-    local_.AbsorbKeyedOutput(e.items[i], &out, events);
+    MoveToArena(r, &arenas[n]);
   }
-  // One subscription epoch per cluster epoch: coalesce the fleet's deltas
-  // and push the batches through the coordinator registry's sink.
-  if (!e.items.empty()) {
-    local_.FlushSubscriptionEpoch(e.items.back().timestamp);
-  }
+  local_.AbsorbEpoch(e.items, slots, arenas, remap_, events,
+                     /*pool=*/nullptr);
   ring->pop_front();
   return Status::OK();
 }
@@ -232,10 +252,10 @@ Result<std::vector<Event>> ClusterEngine::IngestBatch(
   Status failure = Status::OK();
   std::int64_t epochs = 0;
 
-  ForEachEpoch(reports.size(), opts_.engine.epoch_size,
+  ForEachEpoch(reports.size(), local_.config().epoch_size,
                [&](std::int64_t id, std::size_t pos, std::size_t len) {
     if (!failure.ok()) return;
-    while (ring.size() >= opts_.engine.max_epochs_in_flight) {
+    while (ring.size() >= local_.config().max_epochs_in_flight) {
       if (Status s = RetireFront(&ring, &events); !s.ok()) {
         failure = s;
         return;
@@ -279,7 +299,7 @@ Result<std::vector<Event>> ClusterEngine::IngestFromQueue(
     AdmissionQueue<PositionReport>* queue) {
   std::vector<Event> events;
   const std::size_t batch_max =
-      opts_.engine.epoch_size * opts_.engine.max_epochs_in_flight;
+      local_.config().epoch_size * local_.config().max_epochs_in_flight;
   for (;;) {
     std::vector<PositionReport> batch = queue->PopBatch(batch_max);
     if (batch.empty()) break;  // closed and drained

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "datacron/engine.h"
+#include "net/codec.h"
 #include "net/transport.h"
 #include "stream/epoch.h"
 
@@ -20,6 +21,14 @@ namespace datacron {
 /// cross-entity CEP, trajectory store, predictor — while each node runs
 /// the *keyed* half for the entities routed to it.
 ///
+/// The handoff is the engine's own: each node runs its sub-batch of an
+/// epoch into one shard-epoch arena against its node-local dictionary and
+/// replies with that arena plus the dictionary's epoch delta
+/// (EpochResultMsg). The coordinator validates every reply, then absorbs
+/// the epoch with DatacronEngine::AbsorbEpoch — the call serial Ingest and
+/// in-process IngestBatch make — passing the node arenas and its
+/// persistent per-node remap tables.
+///
 /// Determinism (byte-identity with serial DatacronEngine::Ingest at any
 /// node count, epoch size, or transport):
 ///
@@ -27,15 +36,17 @@ namespace datacron {
 ///    entity's whole subsequence is processed by one node in input order —
 ///    the same per-key subsequence the in-process ShardedRuntime feeds a
 ///    shard (stream/epoch.h is the shared contract).
-///  - Nodes intern into their own dictionary and ship *per-report*
-///    dictionary deltas. The coordinator imports each report's delta in
-///    global input order, so a term's canonical id is assigned at its
-///    first-in-input occurrence — exactly the serial order. (A term new to
-///    the stream is always new to its processing node too: the node's
-///    dictionary only holds terms from that node's earlier reports, which
-///    are earlier in the input.)
-///  - All global stages run on the coordinator in input order, per report,
+///  - Each report's slot says how far into its node's epoch delta the
+///    report interned. AbsorbEpoch imports those slices in global input
+///    order, so a term's canonical id is assigned at its first-in-input
+///    occurrence — exactly the serial order. (A term new to the stream is
+///    always new to its processing node too: the node's dictionary only
+///    holds terms from that node's earlier reports, which are earlier in
+///    the input.)
+///  - All global stages run on the coordinator in input order, per epoch,
 ///    once the epoch barrier (EpochWatermarks) has released the epoch.
+///  - An epoch is absorbed whole or not at all: a reply that fails
+///    validation returns an error before any coordinator state changes.
 ///
 /// Flow control: up to Config::max_epochs_in_flight epochs are routed
 /// ahead of the in-order merge; the front epoch is then retired by
@@ -122,15 +133,22 @@ class ClusterEngine {
     EpochRouting routing;
   };
 
-  /// Receives every node's reply for the front epoch, advances the
-  /// watermark barrier, and absorbs the epoch's outputs in input order.
+  /// Receives every node's reply for the front epoch, validates them all,
+  /// advances the watermark barrier, and absorbs the epoch.
   Status RetireFront(std::deque<PendingEpoch>* ring,
                      std::vector<Event>* events);
+
+  /// Every check on epoch `e`'s replies (one per node; a watermark reply
+  /// is an empty arena): epoch id, dictionary position, slot count,
+  /// watermark columns that cut each buffer exactly, and term ids within
+  /// what the node had interned — per report for triples, per epoch for
+  /// side tables.
+  Status ValidateReplies(const PendingEpoch& e,
+                         const std::vector<EpochResultMsg>& replies) const;
 
   /// Sends `frame` to every node and collects one SubAck from each.
   Status BroadcastSubControl(const std::string& frame);
 
-  Options opts_;
   DatacronEngine local_;
   std::vector<std::unique_ptr<Transport>> nodes_;
   /// Per node: remap_[n][i] is the canonical (coordinator) id of the

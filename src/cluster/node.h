@@ -18,10 +18,11 @@ namespace datacron {
 ///
 /// Protocol (see net/codec.h): on Serve() the node sends a Hello carrying
 /// its construction-time dictionary baseline, then answers each request
-/// until Shutdown or transport close. Reports of a batch are processed in
-/// batch order and each report's reply carries the dictionary delta it
-/// created — the coordinator needs per-report granularity to reproduce the
-/// serial engine's term-id assignment order.
+/// until Shutdown or transport close. A batch runs in batch order into one
+/// shard-epoch arena (DatacronEngine::ProcessKeyedEpoch), and the reply is
+/// that arena: per-report slots whose terms_end watermarks cut the one
+/// coalesced dictionary delta into per-report slices, which is what lets
+/// the coordinator reproduce the serial engine's term-id order.
 ///
 /// The node must be constructed with the same Config as the coordinator's
 /// ClusterEngine: the dictionary baselines have to match for the

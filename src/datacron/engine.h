@@ -88,13 +88,17 @@ struct MetricsRow {
 /// The engine is key-partitioned: every per-entity ("keyed") operator —
 /// synopses, keyed CEP detectors, episode building, per-entity RDF
 /// continuation state — lives in one of `Config::num_shards` shards,
-/// selected by hashing the entity id. IngestBatch() runs the shards in
-/// parallel on a ThreadPool via ShardedRuntime while the cross-entity
-/// ("global") stages — proximity/capacity/hotspot CEP, dictionary merge,
-/// trajectory store, predictor — consume the per-report outputs on the
-/// calling thread in input order. Events, triples, episodes, trajectories
-/// and dictionary ids are byte-identical to a serial run at any shard
-/// count (see DESIGN.md, "Sharded online engine").
+/// selected by hashing the entity id. The cross-entity ("global") stages —
+/// proximity/capacity/hotspot CEP, dictionary merge, trajectory store,
+/// predictor — run on the calling thread in input order. One unit crosses
+/// from the keyed half to the global half: a shard-epoch arena
+/// (EpochArena) plus one slot per report (ShardSlot), absorbed by
+/// AbsorbEpoch. Serial Ingest is an epoch of one report, IngestBatch fills
+/// one arena per shard per epoch on a ThreadPool via ShardedRuntime, and a
+/// cluster node ships one arena per epoch over the wire. Events, triples,
+/// episodes, trajectories and dictionary ids are therefore byte-identical
+/// to a serial run at any shard or node count (see DESIGN.md, "Sharded
+/// online engine").
 class DatacronEngine {
  public:
   struct Config {
@@ -118,9 +122,11 @@ class DatacronEngine {
     /// Keyed-state partitions (clamped to >= 1). IngestBatch runs them in
     /// parallel; output is identical at any value.
     std::size_t num_shards = 1;
-    /// Reports per epoch of the sharded runtime (IngestBatch only).
+    /// Reports per epoch of the sharded runtime and the cluster (clamped
+    /// to >= 1).
     std::size_t epoch_size = 1024;
-    /// Epochs the router may run ahead of the in-order merge stage.
+    /// Epochs the router may run ahead of the in-order merge stage
+    /// (clamped to >= 1).
     std::size_t max_epochs_in_flight = 4;
     /// What a live push source does when the in-flight window is full
     /// (see NewAdmissionQueue / IngestFromQueue).
@@ -132,9 +138,12 @@ class DatacronEngine {
 
   explicit DatacronEngine(Config config);
 
+  /// The configuration in effect, after clamping.
+  const Config& config() const { return config_; }
+
   /// Processes one report through all stages; returns the complex events
-  /// it triggered. This is the 1-shard special case of IngestBatch: the
-  /// report runs through its shard inline, then through the global stages.
+  /// it triggered. This is an epoch of one report: the report runs through
+  /// its shard inline into one arena, then through AbsorbEpoch.
   std::vector<Event> Ingest(const PositionReport& report);
 
   /// Processes a batch through the sharded runtime: keyed stages in
@@ -172,52 +181,103 @@ class DatacronEngine {
   /// FinishFromFlushes over this engine's own FlushKeyed().
   std::vector<Event> Finish();
 
-  // -- cluster seams (src/cluster) ------------------------------------
+  // -- the keyed->global handoff -------------------------------------
   //
-  // A cluster node owns a DatacronEngine but drives only its keyed half
-  // (ProcessKeyedOnly against the node-local dictionary, FlushKeyed at
-  // end-of-stream); the coordinator owns another and drives only its
-  // global half (AbsorbKeyedOutput per report in input order,
-  // FinishFromFlushes over every node's flush). Serial Ingest/Finish are
-  // the two halves composed in one process, so cluster output is
-  // byte-identical by construction.
+  // Every executor hands the global half the same unit: per shard-epoch,
+  // one EpochArena holding everything the keyed stage produced, and per
+  // report, one ShardSlot whose watermarks cut the arena back into
+  // per-report slices. AbsorbEpoch is the only way keyed output enters
+  // global state. The executors differ only in where an arena's new terms
+  // live until the merge:
+  //
+  //  - serial Ingest: an epoch of one report, interned straight into this
+  //    engine's dictionary (nothing left to merge);
+  //  - IngestBatch: one arena per shard per epoch, each interning into its
+  //    own TermBatch on a pool worker;
+  //  - cluster: a node runs its sub-batch into one arena against its own
+  //    dictionary (ProcessKeyedEpoch) and ships it with that dictionary's
+  //    epoch delta; the coordinator passes the decoded arenas and its
+  //    persistent per-node remaps to AbsorbEpoch, and runs FinishFromFlushes
+  //    over every node's FlushKeyed at end-of-stream.
 
-  /// Everything the keyed stage produces for one report; carried from the
-  /// shard to the in-order global stage. All term ids are real dictionary
-  /// ids — a cluster node interns into its node-local dictionary and the
-  /// coordinator remaps through the epoch dictionary deltas before
-  /// absorbing. (The in-process parallel path does not use ReportOutput:
-  /// IngestBatch accumulates whole shard-epochs in EpochArena instead.)
-  struct ReportOutput {
-    std::size_t cp_count = 0;
-    std::vector<Event> keyed_events;
-    std::vector<Episode> episodes;
-    std::vector<Triple> triples;
-    std::unordered_map<TermId, StTag> tags;
-    std::unordered_map<TermId, NodeGeo> node_geo;
-    /// Subscription deltas the keyed evaluation emitted for this report
-    /// (geofence transitions) and the report's hotspot-count increments,
-    /// keyed by subscription id. Cluster nodes ship both; the coordinator
-    /// splices them into its epoch in global input order.
-    std::vector<SubDelta> sub_deltas;
-    FlatHashMap<std::uint64_t, double> sub_counts;
+  /// Per-report slot: scalar results plus watermarks into the report's
+  /// arena — buffer sizes *after* the report ran; the previous report of
+  /// the same arena (or 0) starts the slice.
+  struct ShardSlot {
+    /// Index of the report's arena in the epoch: its shard in-process, its
+    /// node in a cluster (set by the coordinator, not shipped).
+    std::uint32_t arena = 0;
+    std::uint32_t cp_count = 0;
+    /// New terms the global stage still has to import, counted from the
+    /// arena's start (0 when the keyed stage interned into this engine's
+    /// dictionary directly).
+    std::size_t terms_end = 0;
+    std::size_t triples_end = 0;
+    std::size_t episodes_end = 0;
+    std::size_t events_end = 0;
+    std::size_t subs_end = 0;
     std::int64_t synopses_ns = 0;
     std::int64_t transform_ns = 0;
     std::int64_t keyed_cep_ns = 0;
+
+    bool operator==(const ShardSlot&) const = default;
   };
 
-  /// Runs only the keyed half for one report, on the local shard its
-  /// entity hashes to, interning terms into `terms` (cluster nodes pass
-  /// their node-local dictionary). No global stage runs.
-  void ProcessKeyedOnly(const PositionReport& report, TermSource* terms,
-                        ReportOutput* out);
+  /// Everything one shard's (or one node's) reports of one epoch produce,
+  /// in contiguous buffers. Term ids are real ids of this engine's
+  /// dictionary, or arena-local ids (kLocalTermBit | i) that AbsorbEpoch
+  /// resolves through the arena's remap.
+  struct EpochArena {
+    /// The arena's new terms in first-occurrence order, when they are not
+    /// in this engine's dictionary yet: a TermBatch (IngestBatch on a
+    /// pool) or a cluster node's decoded dictionary delta. Neither is set
+    /// when the keyed stage interned straight into the dictionary.
+    std::unique_ptr<TermBatch> terms;
+    std::vector<TermExport> new_terms;
+    std::vector<Triple> triples;
+    std::vector<Episode> episodes;
+    std::vector<Event> events;  // keyed CEP events
+    std::unordered_map<TermId, StTag> tags;
+    std::unordered_map<TermId, NodeGeo> node_geo;
+    /// Subscription deltas in report order (sliced via subs_end) and the
+    /// epoch's hotspot counts by subscription id.
+    std::vector<SubDelta> sub_deltas;
+    FlatHashMap<std::uint64_t, double> sub_counts;
 
-  /// Runs only the global half for one report, on the calling thread, in
-  /// input order. `out` must hold ids of this engine's dictionary (the
-  /// cluster coordinator remaps node-local ids through the epoch
-  /// dictionary deltas first).
-  void AbsorbKeyedOutput(const PositionReport& report, ReportOutput* out,
-                         std::vector<Event>* events);
+    /// Empties every buffer, keeping capacity for reuse.
+    void Clear();
+  };
+
+  /// The keyed half of one epoch on a cluster node: runs `reports` in
+  /// order through their shards into the single `arena` (cleared first),
+  /// interning straight into this engine's dictionary, and writes one
+  /// slot per report. Because that dictionary is not the global one, each
+  /// slot's terms_end counts the dictionary's growth since the call began.
+  void ProcessKeyedEpoch(std::span<const PositionReport> reports,
+                         std::vector<ShardSlot>* slots, EpochArena* arena);
+
+  /// The global half of one epoch, on the calling thread. `slots[i]`
+  /// belongs to `items[i]` and names its arena; `remaps[a]` is arena a's
+  /// local-id table, which phase 1 extends — empty and fresh per epoch
+  /// in-process, the node's persistent table in a cluster.
+  ///
+  ///  1. Imports each report's slice of new terms in input order, so every
+  ///     term gets its id at its first occurrence in the input, exactly as
+  ///     a serial run assigns it.
+  ///  2. Rewrites arena-local ids through the remaps in bulk and absorbs
+  ///     the side tables.
+  ///  3. Runs proximity once over the epoch (candidate CPA pairs evaluated
+  ///     cell-parallel on `pool`; null = inline), then walks the reports in
+  ///     input order, splicing their slices and running the remaining
+  ///     global CEP and the subscription barrier; closes the subscription
+  ///     epoch.
+  ///
+  /// Never fails: a caller holding untrusted arenas (the cluster
+  /// coordinator) validates them first.
+  void AbsorbEpoch(std::span<const PositionReport> items,
+                   std::span<ShardSlot> slots, std::span<EpochArena> arenas,
+                   std::span<std::vector<TermId>> remaps,
+                   std::vector<Event>* events, ThreadPool* pool);
 
   /// Drains this engine's keyed state (detector + builder flushes and the
   /// RDF continuation tables) without running any global stage or
@@ -236,17 +296,11 @@ class DatacronEngine {
 
   /// The standing-query registry evaluated inside this engine's shards.
   /// Register/unregister between ingest calls (control plane and data
-  /// plane are phased); deltas are coalesced and pushed at every epoch
-  /// barrier (IngestBatch) or after every report (serial Ingest, the
-  /// epoch-of-one degenerate case).
+  /// plane are phased); deltas are coalesced and pushed when AbsorbEpoch
+  /// closes an epoch — after every report on serial Ingest, the
+  /// epoch-of-one case.
   SubscriptionRegistry* subscriptions() { return subs_.get(); }
   const SubscriptionRegistry* subscriptions() const { return subs_.get(); }
-
-  /// Closes the registry's current subscription epoch — the cluster
-  /// coordinator calls this once per global epoch after absorbing every
-  /// report (serial Ingest calls it internally). No-op while no
-  /// subscription was ever registered.
-  void FlushSubscriptionEpoch(TimestampMs close_ts);
 
   // -- component access -----------------------------------------------
 
@@ -340,86 +394,14 @@ class DatacronEngine {
 
   std::size_t ShardOf(EntityId entity) const;
 
-  /// Per-shard, per-epoch accumulator of the in-process parallel path:
-  /// the unit a shard hands to the global stage, one mailbox delivery per
-  /// shard per epoch. Everything a shard's reports produce lands in these
-  /// contiguous buffers; ShardSlot watermarks cut them back into
-  /// per-report slices so the global stage can replay input order.
-  struct EpochArena {
-    /// Batch-local dictionary for every new term the shard's reports
-    /// intern this epoch (null on the serial fallback, which interns
-    /// straight into the engine dictionary).
-    std::unique_ptr<TermBatch> terms;
-    std::vector<Triple> triples;
-    std::vector<Episode> episodes;
-    std::vector<Event> events;  // keyed CEP events
-    std::unordered_map<TermId, StTag> tags;
-    std::unordered_map<TermId, NodeGeo> node_geo;
-    /// Subscription deltas in shard-report order (sliced per report via
-    /// ShardSlot::subs_end) and the epoch's hotspot counts by sub id.
-    std::vector<SubDelta> sub_deltas;
-    FlatHashMap<std::uint64_t, double> sub_counts;
-  };
-
-  /// Per-report slot of the sharded runtime: scalar results plus
-  /// watermarks into the report's shard EpochArena (sizes *after* the
-  /// report ran; the preceding report's watermark starts the slice).
-  struct ShardSlot {
-    std::uint32_t shard = 0;
-    std::uint32_t cp_count = 0;
-    std::size_t terms_end = 0;
-    std::size_t triples_end = 0;
-    std::size_t episodes_end = 0;
-    std::size_t events_end = 0;
-    std::size_t subs_end = 0;
-    std::int64_t synopses_ns = 0;
-    std::int64_t transform_ns = 0;
-    std::int64_t keyed_cep_ns = 0;
-  };
-
-  /// Where one keyed-stage invocation writes: a ReportOutput's own
-  /// buffers (per-report paths) or the shard's EpochArena (IngestBatch).
-  struct KeyedSink {
-    TermSource* terms = nullptr;
-    std::vector<Triple>* triples = nullptr;
-    std::vector<Episode>* episodes = nullptr;
-    std::vector<Event>* events = nullptr;
-    std::unordered_map<TermId, StTag>* tags = nullptr;
-    std::unordered_map<TermId, NodeGeo>* node_geo = nullptr;
-    std::vector<SubDelta>* sub_deltas = nullptr;
-    FlatHashMap<std::uint64_t, double>* sub_counts = nullptr;
-  };
-
-  struct KeyedStats {
-    std::size_t cp_count = 0;
-    std::int64_t synopses_ns = 0;
-    std::int64_t transform_ns = 0;
-    std::int64_t keyed_cep_ns = 0;
-  };
-
-  /// Keyed stage: synopses, RDF transform, episode building, keyed CEP,
-  /// shard-local subscription evaluation — touches only shard `shard`'s
-  /// state and the sink.
-  KeyedStats ProcessKeyedCore(std::size_t shard, const PositionReport& report,
-                              const KeyedSink& sink);
-
-  /// ReportOutput-shaped keyed stage (Ingest, cluster nodes). `terms` is
-  /// the dictionary to intern into — never null.
-  void ProcessKeyed(std::size_t shard, const PositionReport& report,
-                    TermSource* terms, ReportOutput* out);
-
-  /// Arena-shaped keyed stage (IngestBatch): appends to the shard's
-  /// epoch arena and records the slot watermarks. With `use_batch` the
-  /// transform interns into the arena's TermBatch (created on first use);
-  /// otherwise straight into the engine dictionary (serial fallback).
+  /// Keyed stage for one report: synopses, RDF transform, episode
+  /// building, keyed CEP and shard-local subscription evaluation. Touches
+  /// only shard `shard`'s state and `arena`, and records the slot's
+  /// results and watermarks (not its `arena` index, which is the
+  /// caller's). With `use_batch` the transform interns into the arena's
+  /// TermBatch (created on first use); otherwise straight into dict_.
   void ProcessKeyedArena(std::size_t shard, const PositionReport& report,
                          ShardSlot* slot, EpochArena* arena, bool use_batch);
-
-  /// Global stage for one report whose ids are already global: CEP,
-  /// triple/episode/side-table absorption, trajectory store, predictor,
-  /// latency accounting. Runs on the calling thread in input order.
-  void AbsorbOutput(const PositionReport& report, ReportOutput* out,
-                    std::vector<Event>* events);
 
   /// Folds one report's stage timings into the percentile trackers and
   /// the always-on registry histograms.
@@ -429,15 +411,8 @@ class DatacronEngine {
                              std::int64_t trajectory_ns,
                              std::int64_t global_cep_ns);
 
-  /// Global stage for one whole epoch (IngestBatch): one coalesced term
-  /// merge per shard-epoch replayed in input order, columnar bulk remap
-  /// of each arena, one epoch-batched proximity run (candidate CPA pairs
-  /// evaluated cell-parallel on `pool`; null = inline), then an
-  /// input-order walk splicing per-report slices through the remaining
-  /// global CEP exactly like a serial run.
-  void AbsorbEpoch(std::span<const PositionReport> items,
-                   std::span<ShardSlot> slots, std::span<EpochArena> arenas,
-                   std::vector<Event>* events, ThreadPool* pool);
+  /// epoch_remaps_ resized to `n` empty tables: the in-process remaps.
+  std::span<std::vector<TermId>> FreshRemaps(std::size_t n);
 
   Config config_;
   TermDictionary dict_;
@@ -474,6 +449,20 @@ class DatacronEngine {
   /// cumulative offsets that slice them back into input order.
   std::vector<Event> prox_events_;
   std::vector<std::size_t> prox_offsets_;
+  /// AbsorbEpoch's per-arena read positions (phase 1 terms, phase 3
+  /// slices) and the in-process remaps, reused across epochs.
+  struct ArenaCursor {
+    std::size_t terms = 0;
+    std::size_t triples = 0;
+    std::size_t episodes = 0;
+    std::size_t events = 0;
+    std::size_t subs = 0;
+  };
+  std::vector<ArenaCursor> absorb_cursors_;
+  std::vector<std::vector<TermId>> epoch_remaps_;
+  /// Serial Ingest's epoch-of-one scratch, cleared per report.
+  EpochArena ingest_arena_;
+  ShardSlot ingest_slot_;
   /// Latest admission-queue shedding totals, captured by IngestFromQueue
   /// when its queue closes (cumulative per queue; kBlock leaves them 0).
   std::size_t admission_dropped_ = 0;

@@ -275,10 +275,39 @@ Status Get(WireReader& r, EntityRdfContinuation* c) {
   return Status::OK();
 }
 
+using ShardSlot = DatacronEngine::ShardSlot;
+
+/// A slot travels as cp_count, the watermark columns, then the keyed
+/// timings, in this order. `arena` is not shipped: the coordinator
+/// assigns it.
+constexpr std::size_t ShardSlot::*kSlotMarks[] = {
+    &ShardSlot::terms_end,    &ShardSlot::triples_end,
+    &ShardSlot::episodes_end, &ShardSlot::events_end,
+    &ShardSlot::subs_end};
+constexpr std::int64_t ShardSlot::*kSlotTimings[] = {
+    &ShardSlot::synopses_ns, &ShardSlot::transform_ns,
+    &ShardSlot::keyed_cep_ns};
+
+void Put(WireWriter& w, const ShardSlot& slot) {
+  w.U32(slot.cp_count);
+  for (auto mark : kSlotMarks) w.U64(slot.*mark);
+  for (auto timing : kSlotTimings) w.I64(slot.*timing);
+}
+constexpr std::size_t kMinSlotBytes = 4 + 5 * 8 + 3 * 8;
+
+Status Get(WireReader& r, ShardSlot* slot) {
+  DC_RET(r.U32(&slot->cp_count));
+  for (auto mark : kSlotMarks) {
+    std::uint64_t v = 0;
+    DC_RET(r.U64(&v));
+    slot->*mark = v;
+  }
+  for (auto timing : kSlotTimings) DC_RET(r.I64(&(slot->*timing)));
+  return Status::OK();
+}
+
 // Forward declarations so the vector helpers can encode compound elements
 // whose Put/Get pairs are defined further down.
-void Put(WireWriter& w, const WireReportResult& res);
-Status Get(WireReader& r, WireReportResult* res);
 void Put(WireWriter& w, const MetricsRow& row);
 Status Get(WireReader& r, MetricsRow* row);
 
@@ -295,38 +324,6 @@ Status GetVec(WireReader& r, std::vector<T>* v, std::size_t min_bytes) {
   DC_RET(r.Count(&n, min_bytes));
   v->resize(n);
   for (std::size_t i = 0; i < n; ++i) DC_RET(Get(r, &(*v)[i]));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const WireReportResult& res) {
-  w.U64(res.cp_count);
-  w.U64(res.new_term_count);
-  PutVec(w, res.keyed_events);
-  PutVec(w, res.episodes);
-  PutVec(w, res.triples);
-  PutVec(w, res.tags);
-  PutVec(w, res.node_geo);
-  PutVec(w, res.sub_deltas);
-  PutVec(w, res.sub_counts);
-  w.I64(res.synopses_ns);
-  w.I64(res.transform_ns);
-  w.I64(res.keyed_cep_ns);
-}
-constexpr std::size_t kMinResultBytes = 68;
-
-Status Get(WireReader& r, WireReportResult* res) {
-  DC_RET(r.U64(&res->cp_count));
-  DC_RET(r.U64(&res->new_term_count));
-  DC_RET(GetVec(r, &res->keyed_events, kMinEventBytes));
-  DC_RET(GetVec(r, &res->episodes, kMinEpisodeBytes));
-  DC_RET(GetVec(r, &res->triples, kMinTripleBytes));
-  DC_RET(GetVec(r, &res->tags, kMinTagBytes));
-  DC_RET(GetVec(r, &res->node_geo, kMinNodeGeoBytes));
-  DC_RET(GetVec(r, &res->sub_deltas, kMinSubDeltaBytes));
-  DC_RET(GetVec(r, &res->sub_counts, kMinSubCountBytes));
-  DC_RET(r.I64(&res->synopses_ns));
-  DC_RET(r.I64(&res->transform_ns));
-  DC_RET(r.I64(&res->keyed_cep_ns));
   return Status::OK();
 }
 
@@ -513,7 +510,14 @@ std::string Encode(const EpochResultMsg& msg) {
   WireWriter w = Envelope(MsgType::kEpochResult);
   w.I64(msg.epoch);
   w.U64(msg.dict_size_before);
-  PutVec(w, msg.results);
+  PutVec(w, msg.slots);
+  PutVec(w, msg.triples);
+  PutVec(w, msg.episodes);
+  PutVec(w, msg.events);
+  PutVec(w, msg.sub_deltas);
+  PutVec(w, msg.tags);
+  PutVec(w, msg.node_geo);
+  PutVec(w, msg.sub_counts);
   PutVec(w, msg.new_terms);
   return w.Take();
 }
@@ -609,7 +613,14 @@ Status Decode(const std::string& payload, EpochResultMsg* msg) {
   DC_RET(OpenEnvelope(r, MsgType::kEpochResult));
   DC_RET(r.I64(&msg->epoch));
   DC_RET(r.U64(&msg->dict_size_before));
-  DC_RET(GetVec(r, &msg->results, kMinResultBytes));
+  DC_RET(GetVec(r, &msg->slots, kMinSlotBytes));
+  DC_RET(GetVec(r, &msg->triples, kMinTripleBytes));
+  DC_RET(GetVec(r, &msg->episodes, kMinEpisodeBytes));
+  DC_RET(GetVec(r, &msg->events, kMinEventBytes));
+  DC_RET(GetVec(r, &msg->sub_deltas, kMinSubDeltaBytes));
+  DC_RET(GetVec(r, &msg->tags, kMinTagBytes));
+  DC_RET(GetVec(r, &msg->node_geo, kMinNodeGeoBytes));
+  DC_RET(GetVec(r, &msg->sub_counts, kMinSubCountBytes));
   DC_RET(GetVec(r, &msg->new_terms, kMinTermBytes));
   return r.ExpectEnd();
 }

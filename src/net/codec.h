@@ -24,8 +24,10 @@ namespace datacron {
 ///                                   size, and the node dictionary's
 ///                                   construction-time baseline terms
 ///   coordinator -> ReportBatch      one per (epoch, node); may be empty
-///   node        -> EpochResult      keyed outputs + one coalesced
-///                                   dictionary delta for a nonempty batch
+///   node        -> EpochResult      for a nonempty batch: the epoch's
+///                                   keyed arena (per-report slots over
+///                                   columnar outputs) + one coalesced
+///                                   dictionary delta
 ///   node        -> Watermark        in place of EpochResult for an empty
 ///                                   batch: advances the epoch barrier
 ///   coordinator -> FlushRequest     end-of-stream
@@ -79,46 +81,31 @@ struct ReportBatchMsg {
   bool operator==(const ReportBatchMsg&) const = default;
 };
 
-/// DatacronEngine::ReportOutput flattened for the wire. The report's
-/// dictionary delta travels coalesced at the epoch level
-/// (EpochResultMsg::new_terms); `new_term_count` is this report's share of
-/// it, so the coordinator can slice the epoch delta back into per-report
-/// sub-ranges and import them interleaved in global input order. Side
-/// tables travel as id-sorted vectors so the encoded bytes are canonical
-/// regardless of hash-map iteration order.
-struct WireReportResult {
-  std::uint64_t cp_count = 0;
-  /// Number of EpochResultMsg::new_terms entries this report interned.
-  std::uint64_t new_term_count = 0;
-  std::vector<Event> keyed_events;
-  std::vector<Episode> episodes;
-  std::vector<Triple> triples;
-  std::vector<std::pair<TermId, StTag>> tags;
-  std::vector<std::pair<TermId, NodeGeo>> node_geo;
-  /// Subscription deltas the node's shard-local evaluation emitted for
-  /// this report, and the report's hotspot-count increments keyed by
-  /// subscription id (id-sorted so encoded bytes are canonical).
-  std::vector<SubDelta> sub_deltas;
-  std::vector<std::pair<std::uint64_t, double>> sub_counts;
-  std::int64_t synopses_ns = 0;
-  std::int64_t transform_ns = 0;
-  std::int64_t keyed_cep_ns = 0;
-
-  bool operator==(const WireReportResult&) const = default;
-};
-
+/// A node's keyed half of one epoch: the DatacronEngine::EpochArena its
+/// sub-batch ran into, laid out for the wire. One slot per report of the
+/// sub-batch, in sub-batch order; the slots' watermark columns cut each
+/// buffer — and new_terms — into per-report slices. Term ids are
+/// node-dictionary ids. Side tables and sub counts travel id-sorted, so the
+/// encoded bytes are canonical regardless of hash-map iteration order. The
+/// codec checks structure only; the coordinator checks the watermarks and
+/// id ranges before absorbing anything.
 struct EpochResultMsg {
   std::int64_t epoch = 0;
-  /// Node dictionary size before the first report of this epoch; the
+  /// Node dictionary size before the epoch's first report; the
   /// coordinator cross-checks it against its remap table to catch lost or
   /// reordered epochs.
   std::uint64_t dict_size_before = 0;
-  /// One entry per report of the epoch's sub-batch, in input order.
-  std::vector<WireReportResult> results;
+  /// ShardSlot::arena is not shipped (decodes as 0).
+  std::vector<DatacronEngine::ShardSlot> slots;
+  std::vector<Triple> triples;
+  std::vector<Episode> episodes;
+  std::vector<Event> events;
+  std::vector<SubDelta> sub_deltas;
+  std::vector<std::pair<TermId, StTag>> tags;
+  std::vector<std::pair<TermId, NodeGeo>> node_geo;
+  std::vector<std::pair<std::uint64_t, double>> sub_counts;
   /// One coalesced dictionary delta for the whole epoch: the contiguous
-  /// id range the node dictionary grew by, exported once per epoch in
-  /// intern order. Per-report shares are results[i].new_term_count, and
-  /// the counts sum to new_terms.size().
+  /// id range the node dictionary grew by, in intern order.
   std::vector<TermExport> new_terms;
 
   bool operator==(const EpochResultMsg&) const = default;

@@ -92,7 +92,9 @@ Result<std::vector<TermExport>> TermDictionary::ExportRange(
 
 void TermDictionary::ImportDelta(std::span<const TermExport> delta,
                                  std::vector<TermId>* remap) {
-  remap->reserve(remap->size() + delta.size());
+  // No exact-fit reserve: callers import many small slices into one
+  // long-lived remap, and reserving size() + slice each time would copy
+  // the whole table on every call.
   for (const TermExport& t : delta) {
     remap->push_back(Intern(t.text, t.kind));
   }

@@ -108,8 +108,8 @@ class TermDictionary : public TermSource {
   std::vector<TermId> MergeBatch(const TermBatch& batch);
 
   /// Exports the `count` entries starting at id `first_id` in id order —
-  /// the dictionary delta for one epoch (or one report) of cluster
-  /// ingest. Ids outside [1, size()] yield an error, never a crash.
+  /// a cluster node's dictionary delta for one epoch. Ids outside
+  /// [1, size()] yield an error, never a crash.
   Result<std::vector<TermExport>> ExportRange(TermId first_id,
                                               std::size_t count) const;
 
@@ -119,15 +119,11 @@ class TermDictionary : public TermSource {
   /// where `base` is the remap size before the first import — exactly the
   /// node-local-to-global translation table the cluster coordinator keeps
   /// per node. Idempotent: entries already present resolve to their
-  /// existing ids. The span overload lets the cluster coordinator replay
+  /// existing ids. Taking a span lets the cluster coordinator replay
   /// sub-ranges of one coalesced per-epoch delta (sliced per report by
-  /// the shipped term counts) without copying.
+  /// the slots' terms_end watermarks) without copying.
   void ImportDelta(std::span<const TermExport> delta,
                    std::vector<TermId>* remap);
-  void ImportDelta(const std::vector<TermExport>& delta,
-                   std::vector<TermId>* remap) {
-    ImportDelta(std::span<const TermExport>(delta), remap);
-  }
 
  private:
   static constexpr std::size_t kStripes = 16;  // power of two

@@ -13,6 +13,7 @@
 
 #include "cluster/local_cluster.h"
 #include "datacron/engine.h"
+#include "net/codec.h"
 #include "obs/metrics.h"
 #include "sources/adsb_generator.h"
 #include "sources/ais_generator.h"
@@ -274,6 +275,99 @@ TEST(ClusterTest, FleetMetricsMergeAcrossNodes) {
   ASSERT_TRUE(cluster.value()->Stop().ok());
 }
 
+/// Coordinator-side transport that, once armed, corrupts the next epoch
+/// result it receives: in the first report after the epoch's first one
+/// that has triples, the first triple's object becomes the id just past
+/// what the node had interned by the end of that report.
+class CorruptingTransport final : public Transport {
+ public:
+  explicit CorruptingTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Send(const std::string& payload) override {
+    return inner_->Send(payload);
+  }
+
+  Result<std::string> Recv() override {
+    Result<std::string> payload = inner_->Recv();
+    MsgType type;
+    if (!armed || rewrote || !payload.ok() ||
+        !DecodeType(payload.value(), &type).ok() ||
+        type != MsgType::kEpochResult) {
+      return payload;
+    }
+    EpochResultMsg msg;
+    if (!Decode(payload.value(), &msg).ok()) return payload;
+    for (std::size_t i = 1; i < msg.slots.size(); ++i) {
+      const DatacronEngine::ShardSlot& prev = msg.slots[i - 1];
+      if (msg.slots[i].triples_end == prev.triples_end) continue;
+      msg.triples[prev.triples_end].o =
+          msg.dict_size_before + msg.slots[i].terms_end + 1;
+      rewrote = true;
+      return Encode(msg);
+    }
+    return payload;
+  }
+
+  void Close() override { inner_->Close(); }
+
+  bool armed = false;
+  bool rewrote = false;
+
+ private:
+  std::unique_ptr<Transport> inner_;
+};
+
+TEST(ClusterTest, BadNodeReplyLeavesCoordinatorUnchanged) {
+  const auto stream = MixedStream();
+  constexpr std::size_t kNodes = 2;
+  std::vector<std::unique_ptr<ClusterNode>> nodes;
+  std::vector<std::unique_ptr<Transport>> coordinator_side;
+  CorruptingTransport* corrupting = nullptr;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    auto [a, b] = LoopbackTransport::CreatePair();
+    if (i == 0) {
+      auto wrapped = std::make_unique<CorruptingTransport>(std::move(a));
+      corrupting = wrapped.get();
+      a = std::move(wrapped);
+    }
+    coordinator_side.push_back(std::move(a));
+    nodes.push_back(std::make_unique<ClusterNode>(
+        ClusterConfig(), std::move(b), static_cast<std::uint32_t>(i),
+        static_cast<std::uint32_t>(kNodes)));
+    nodes.back()->Start();
+  }
+  ClusterEngine::Options opts;
+  opts.engine = ClusterConfig();
+  ClusterEngine engine(std::move(opts), std::move(coordinator_side));
+
+  // A clean prefix first, so the state the bad epoch must not touch is
+  // not the empty engine.
+  const std::span<const PositionReport> all(stream);
+  const std::size_t half = stream.size() / 2;
+  ASSERT_TRUE(engine.IngestBatch(all.subspan(0, half)).ok());
+  const DatacronEngine& local = engine.engine();
+  const std::size_t dict_size = local.dictionary().size();
+  const std::size_t triples = local.triples().size();
+  const std::size_t episodes = local.episodes().size();
+  const std::size_t reports = local.reports_ingested();
+  ASSERT_GT(triples, 0u);
+
+  // The corrupted reply is node 0's first of the call, so the whole call
+  // must leave no trace.
+  corrupting->armed = true;
+  Result<std::vector<Event>> bad = engine.IngestBatch(all.subspan(half));
+  ASSERT_TRUE(corrupting->rewrote);
+  EXPECT_FALSE(bad.ok());
+  EXPECT_EQ(local.dictionary().size(), dict_size);
+  EXPECT_EQ(local.triples().size(), triples);
+  EXPECT_EQ(local.episodes().size(), episodes);
+  EXPECT_EQ(local.reports_ingested(), reports);
+
+  (void)engine.Shutdown();
+  for (const std::unique_ptr<ClusterNode>& node : nodes) (void)node->Join();
+}
+
 // ---------------------------------------------------------------------
 // Admission policy (live push path)
 // ---------------------------------------------------------------------
@@ -439,6 +533,33 @@ TEST(AdmissionTest, EngineQueueIngestMatchesSerialUnderBlockPolicy) {
   events.insert(events.end(), final_events.begin(), final_events.end());
   EXPECT_EQ(queue->dropped(), 0u);
   ExpectIdentical(serial, Snapshot(engine, std::move(events)));
+}
+
+TEST(AdmissionTest, ZeroEpochSizeOrWindowStillDrainsTheQueue) {
+  // Both values are clamped to 1; unclamped, the drain popped empty
+  // batches and mistook them for end-of-stream. The buffer holds the whole
+  // stream, so a drain that gives up fails here instead of hanging.
+  const auto stream = MixedStream();
+  const RunOutputs serial = RunSerial(stream);
+  for (const auto& [epoch_size, window] :
+       {std::pair<std::size_t, std::size_t>{0, 4}, {128, 0}}) {
+    SCOPED_TRACE(epoch_size);
+    DatacronEngine::Config cfg = ClusterConfig(epoch_size);
+    cfg.max_epochs_in_flight = window;
+    cfg.admission_capacity = stream.size();
+    DatacronEngine engine(cfg);
+    EXPECT_EQ(engine.config().epoch_size,
+              std::max<std::size_t>(1, epoch_size));
+    EXPECT_EQ(engine.config().max_epochs_in_flight,
+              std::max<std::size_t>(1, window));
+    auto queue = engine.NewAdmissionQueue();
+    for (const PositionReport& r : stream) ASSERT_TRUE(queue->Push(r));
+    queue->Close();
+    std::vector<Event> events = engine.IngestFromQueue(queue.get(), nullptr);
+    const auto final_events = engine.Finish();
+    events.insert(events.end(), final_events.begin(), final_events.end());
+    ExpectIdentical(serial, Snapshot(engine, std::move(events)));
+  }
 }
 
 TEST(AdmissionTest, DropOldestShedsWhenConsumerLags) {

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -91,51 +92,77 @@ TermExport RandTerm(Rng& rng) {
   return t;
 }
 
-WireReportResult RandResult(Rng& rng) {
-  WireReportResult res;
-  res.cp_count = rng.NextUint64() % 4;
-  res.new_term_count = rng.NextUint64() % 6;
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.keyed_events.push_back(RandEvent(rng));
+/// A random node arena as a well-behaved node sends it: each report
+/// appends to the columns, and its slot's watermarks record where the
+/// columns end, so every watermark column cuts its buffer exactly.
+EpochResultMsg RandEpochResult(Rng& rng, std::int64_t min_reports = 0) {
+  EpochResultMsg msg;
+  msg.epoch = rng.UniformInt(0, 1000);
+  msg.dict_size_before = rng.NextUint64() % 10000;
+  const TermId max_id = msg.dict_size_before + 1;
+  for (std::int64_t i = rng.UniformInt(min_reports, 4); i > 0; --i) {
+    for (std::int64_t k = rng.UniformInt(0, 3); k > 0; --k) {
+      msg.new_terms.push_back(RandTerm(rng));
+    }
+    for (std::int64_t k = rng.UniformInt(0, 4); k > 0; --k) {
+      const TermId limit = max_id + msg.new_terms.size();
+      msg.triples.push_back({rng.NextUint64() % limit + 1,
+                             rng.NextUint64() % limit + 1,
+                             rng.NextUint64() % limit + 1});
+    }
+    for (std::int64_t k = rng.UniformInt(0, 2); k > 0; --k) {
+      msg.episodes.push_back(RandEpisode(rng));
+    }
+    for (std::int64_t k = rng.UniformInt(0, 2); k > 0; --k) {
+      msg.events.push_back(RandEvent(rng));
+    }
+    for (std::int64_t k = rng.UniformInt(0, 3); k > 0; --k) {
+      SubDelta d;
+      d.sub = rng.NextUint64() % 100 + 1;
+      d.kind = static_cast<DeltaKind>(rng.UniformInt(0, 6));
+      d.entity = static_cast<EntityId>(rng.NextUint64());
+      d.time = rng.UniformInt(0, 1'000'000'000);
+      d.value = rng.Uniform(0, 1e6);
+      msg.sub_deltas.push_back(d);
+    }
+    DatacronEngine::ShardSlot slot;
+    slot.cp_count = static_cast<std::uint32_t>(rng.NextUint64() % 4);
+    slot.terms_end = msg.new_terms.size();
+    slot.triples_end = msg.triples.size();
+    slot.episodes_end = msg.episodes.size();
+    slot.events_end = msg.events.size();
+    slot.subs_end = msg.sub_deltas.size();
+    slot.synopses_ns = rng.UniformInt(0, 1'000'000);
+    slot.transform_ns = rng.UniformInt(0, 1'000'000);
+    slot.keyed_cep_ns = rng.UniformInt(0, 1'000'000);
+    msg.slots.push_back(slot);
   }
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.episodes.push_back(RandEpisode(rng));
-  }
-  for (std::int64_t i = rng.UniformInt(0, 4); i > 0; --i) {
-    res.triples.push_back({rng.NextUint64() % 100 + 1,
-                           rng.NextUint64() % 100 + 1,
-                           rng.NextUint64() % 100 + 1});
-  }
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.tags.push_back(
-        {rng.NextUint64() % 100 + 1,
+  // Epoch-level side tables, id-sorted like a node sends them.
+  const TermId limit = max_id + msg.new_terms.size();
+  for (std::int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
+    msg.tags.push_back(
+        {rng.NextUint64() % limit + 1,
          StTag{{static_cast<std::int32_t>(rng.UniformInt(-50, 50)),
                 static_cast<std::int32_t>(rng.UniformInt(-50, 50))},
                rng.UniformInt(0, 1000)}});
   }
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.node_geo.push_back(
-        {rng.NextUint64() % 100 + 1,
+  for (std::int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
+    msg.node_geo.push_back(
+        {rng.NextUint64() % limit + 1,
          NodeGeo{rng.Uniform(-90, 90), rng.Uniform(-180, 180), 0.0,
                  rng.UniformInt(0, 1'000'000)}});
   }
   for (std::int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
-    SubDelta d;
-    d.sub = rng.NextUint64() % 100 + 1;
-    d.kind = static_cast<DeltaKind>(rng.UniformInt(0, 6));
-    d.entity = static_cast<EntityId>(rng.NextUint64());
-    d.time = rng.UniformInt(0, 1'000'000'000);
-    d.value = rng.Uniform(0, 1e6);
-    res.sub_deltas.push_back(d);
-  }
-  for (std::int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
-    res.sub_counts.push_back({rng.NextUint64() % 100 + 1,
+    msg.sub_counts.push_back({rng.NextUint64() % 100 + 1,
                               static_cast<double>(rng.UniformInt(1, 50))});
   }
-  res.synopses_ns = rng.UniformInt(0, 1'000'000);
-  res.transform_ns = rng.UniformInt(0, 1'000'000);
-  res.keyed_cep_ns = rng.UniformInt(0, 1'000'000);
-  return res;
+  const auto by_id = [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  };
+  std::sort(msg.tags.begin(), msg.tags.end(), by_id);
+  std::sort(msg.node_geo.begin(), msg.node_geo.end(), by_id);
+  std::sort(msg.sub_counts.begin(), msg.sub_counts.end(), by_id);
+  return msg;
 }
 
 /// Valid by ValidateSpec — the Subscribe decoder validates, so round-trip
@@ -260,18 +287,9 @@ TEST(CodecTest, RoundTripPropertyOverRandomMessages) {
     }
     ExpectRoundTrip(batch);
 
-    EpochResultMsg result;
-    result.epoch = rng.UniformInt(0, 1000);
-    result.dict_size_before = rng.NextUint64() % 10000;
-    for (std::int64_t i = rng.UniformInt(0, 4); i > 0; --i) {
-      result.results.push_back(RandResult(rng));
-    }
-    // The coalesced per-epoch dictionary delta travels beside the
-    // per-report results.
-    for (std::int64_t i = rng.UniformInt(0, 8); i > 0; --i) {
-      result.new_terms.push_back(RandTerm(rng));
-    }
-    ExpectRoundTrip(result);
+    // A node's epoch arena: per-report slots over columnar outputs, with
+    // the coalesced dictionary delta beside them.
+    ExpectRoundTrip(RandEpochResult(rng));
 
     WatermarkMsg wm;
     wm.epoch = rng.UniformInt(0, 1000);
@@ -458,11 +476,9 @@ TEST(CodecTest, MetricsRoundTripPreservesMergeBehavior) {
 
 TEST(CodecTest, TruncatedPayloadsAreRejectedAtEveryPrefix) {
   Rng rng(0x7A11);
-  EpochResultMsg result;
-  result.epoch = 3;
-  result.dict_size_before = 17;
-  result.results.push_back(RandResult(rng));
+  EpochResultMsg result = RandEpochResult(rng, /*min_reports=*/1);
   result.new_terms.push_back(RandTerm(rng));
+  result.slots.back().terms_end = result.new_terms.size();
   ExpectTruncationRejected(result);
 
   FlushResultMsg flush;
@@ -477,9 +493,7 @@ TEST(CodecTest, TruncatedPayloadsAreRejectedAtEveryPrefix) {
 
 TEST(CodecTest, CorruptedBytesNeverCrashTheDecoder) {
   Rng rng(0xBADF00D);
-  EpochResultMsg result;
-  result.epoch = 1;
-  for (int i = 0; i < 3; ++i) result.results.push_back(RandResult(rng));
+  EpochResultMsg result = RandEpochResult(rng, /*min_reports=*/3);
   const std::string payload = Encode(result);
 
   // Single-byte corruption at every offset: the decoder must return
@@ -528,6 +542,24 @@ TEST(CodecTest, StructuralCorruptionIsRejected) {
   std::string bad_enum = Encode(batch);
   bad_enum[14 + 4] = static_cast<char>(0x9);
   EXPECT_FALSE(Decode(bad_enum, &decoded_batch).ok());
+
+  // Inflated arena column: the triples count of an epoch result, after
+  // the u16 type, i64 epoch, u64 dict_size_before and the slots column
+  // (u32 count + 68 bytes per slot).
+  EpochResultMsg result;
+  result.epoch = 2;
+  result.slots.push_back({});
+  result.slots.back().triples_end = 1;
+  result.triples.push_back({1, 2, 3});
+  std::string inflated_column = Encode(result);
+  const std::size_t triples_count = 2 + 8 + 8 + 4 + 68;
+  ASSERT_EQ(inflated_column[triples_count], 1);  // one triple, little-endian
+  for (std::size_t i = 0; i < 4; ++i) {
+    inflated_column[triples_count + i] = static_cast<char>(0xFF);
+  }
+  EpochResultMsg decoded_result;
+  EXPECT_TRUE(Decode(Encode(result), &decoded_result).ok());
+  EXPECT_FALSE(Decode(inflated_column, &decoded_result).ok());
 }
 
 // ---------------------------------------------------------------------
