@@ -147,6 +147,7 @@ class ShardedRuntime {
       const std::size_t len =
           std::min(opts_.epoch_size, input.size() - pos);
       const std::span<const In> items = input.subspan(pos, len);
+      epoch_counter_->Add();
       std::vector<Slot> slots(len);
       std::vector<Arena> arenas(n);
       obs::ScopedTraceContext trace_ctx(epoch);

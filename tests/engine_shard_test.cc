@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "datacron/engine.h"
+#include "obs/metrics.h"
 #include "sources/adsb_generator.h"
 #include "sources/ais_generator.h"
 #include "stream/operator.h"
@@ -83,6 +84,8 @@ TEST(ShardedRuntimeTest, SerialFallbackStillRoutesByKey) {
 
   std::vector<int> input = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
   std::vector<std::size_t> shards_seen;
+  obs::Counter* epochs = obs::MetricsRegistry::Global().counter("shard.epochs");
+  const std::uint64_t epochs_before = epochs->Value();
   runtime.Run(
       std::span<const int>(input), /*pool=*/nullptr,
       [](const int& v) { return static_cast<std::uint64_t>(v); },
@@ -94,6 +97,9 @@ TEST(ShardedRuntimeTest, SerialFallbackStillRoutesByKey) {
       [](std::span<const int>, std::span<std::size_t>,
          std::span<NoShardArena>) {});
   EXPECT_EQ(shards_seen.size(), input.size());
+  // The inline path counts its epochs like the pooled one: 12 items in
+  // epochs of 8.
+  EXPECT_EQ(epochs->Value() - epochs_before, 2u);
 }
 
 TEST(ShardedRuntimeTest, KeyedExceptionPropagatesWithoutHanging) {

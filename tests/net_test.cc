@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -507,6 +508,170 @@ TEST(CodecTest, CorruptedBytesNeverCrashTheDecoder) {
   }
 }
 
+/// One sequence field of one message, encoded twice: with the field empty
+/// and with it holding `elements` minimum-size elements (default-constructed
+/// wherever the decoder accepts that). Everything else stays default, so the
+/// field's u32 count is the first byte where the two encodings differ.
+struct SequenceCase {
+  std::string field;
+  std::string empty;
+  std::string filled;
+  std::size_t elements = 0;
+  /// Encoded size of one minimum-size element.
+  std::size_t element_bytes = 0;
+  std::size_t count_offset = 0;
+  /// Decodes a payload as the case's message type; OK only if it decodes
+  /// to the filled message.
+  std::function<Status(const std::string&)> decode;
+};
+
+template <typename Msg>
+SequenceCase MakeSequenceCase(std::string field, const Msg& empty,
+                              const Msg& filled, std::size_t elements,
+                              std::size_t element_bytes) {
+  SequenceCase c;
+  c.field = std::move(field);
+  c.empty = Encode(empty);
+  c.filled = Encode(filled);
+  c.elements = elements;
+  c.element_bytes = element_bytes;
+  c.count_offset = static_cast<std::size_t>(
+      std::mismatch(c.empty.begin(), c.empty.end(), c.filled.begin(),
+                    c.filled.end())
+          .first -
+      c.empty.begin());
+  c.decode = [filled](const std::string& payload) {
+    Msg decoded;
+    Status s = Decode(payload, &decoded);
+    if (s.ok() && !(decoded == filled)) {
+      s = Status::Internal("decoded message differs");
+    }
+    return s;
+  };
+  return c;
+}
+
+/// Every sequence field of every message, top-level and nested. The
+/// element sizes are the wire layout's minimums: report 61, event 53,
+/// episode 89, triple 24, term 5, tag 24, node-geo 40, lat/lon 16, sub
+/// delta 29, sub count 16, critical point 62, continuation 14, slot 68,
+/// metrics row 76, entity id 4, attribute 12, histogram bucket 9.
+std::vector<SequenceCase> SequenceFieldCases() {
+  // More elements than there are payload bytes after the sequence, so a
+  // per-element minimum even one byte too large rejects the filled frame.
+  constexpr std::size_t kMany = 64;
+  std::vector<SequenceCase> cases;
+
+  HelloMsg hello;
+  hello.baseline.resize(kMany);
+  cases.push_back(
+      MakeSequenceCase("Hello.baseline", HelloMsg{}, hello, kMany, 5));
+
+  ReportBatchMsg batch;
+  batch.reports.resize(kMany);
+  cases.push_back(MakeSequenceCase("ReportBatch.reports", ReportBatchMsg{},
+                                   batch, kMany, 61));
+
+  const auto epoch_column = [&](const char* field, std::size_t bytes,
+                                auto fill) {
+    EpochResultMsg filled;
+    fill(filled);
+    cases.push_back(MakeSequenceCase(std::string("EpochResult.") + field,
+                                     EpochResultMsg{}, filled, kMany, bytes));
+  };
+  epoch_column("slots", 68, [](auto& m) { m.slots.resize(kMany); });
+  epoch_column("triples", 24, [](auto& m) { m.triples.resize(kMany); });
+  epoch_column("episodes", 89, [](auto& m) { m.episodes.resize(kMany); });
+  epoch_column("events", 53, [](auto& m) { m.events.resize(kMany); });
+  epoch_column("sub_deltas", 29,
+               [](auto& m) { m.sub_deltas.resize(kMany); });
+  epoch_column("tags", 24, [](auto& m) { m.tags.resize(kMany); });
+  epoch_column("node_geo", 40, [](auto& m) { m.node_geo.resize(kMany); });
+  epoch_column("sub_counts", 16,
+               [](auto& m) { m.sub_counts.resize(kMany); });
+  epoch_column("new_terms", 5, [](auto& m) { m.new_terms.resize(kMany); });
+
+  EpochResultMsg one_event;
+  one_event.events.resize(1);
+  EpochResultMsg entities = one_event;
+  entities.events[0].entities.resize(kMany);
+  cases.push_back(MakeSequenceCase("EpochResult.events[0].entities",
+                                   one_event, entities, kMany, 4));
+
+  const auto flush_column = [&](const char* field, std::size_t bytes,
+                                auto fill) {
+    FlushResultMsg filled;
+    fill(filled.flush);
+    cases.push_back(MakeSequenceCase(std::string("FlushResult.") + field,
+                                     FlushResultMsg{}, filled, kMany, bytes));
+  };
+  flush_column("critical_points", 62,
+               [](auto& f) { f.critical_points.resize(kMany); });
+  flush_column("continuations", 14,
+               [](auto& f) { f.continuations.resize(kMany); });
+  flush_column("completed_episodes", 89,
+               [](auto& f) { f.completed_episodes.resize(kMany); });
+  flush_column("trailing_episodes", 89,
+               [](auto& f) { f.trailing_episodes.resize(kMany); });
+  flush_column("events", 53, [](auto& f) { f.events.resize(kMany); });
+
+  // A map holds one default element; as the last bytes of the frame it
+  // still leaves no slack for a too-large minimum.
+  FlushResultMsg flush_event;
+  flush_event.flush.events.resize(1);
+  FlushResultMsg attributes = flush_event;
+  attributes.flush.events[0].attributes[""] = 0.0;
+  cases.push_back(MakeSequenceCase("FlushResult.events[0].attributes",
+                                   flush_event, attributes, 1, 12));
+
+  MetricsResultMsg rows;
+  rows.rows.resize(kMany);
+  cases.push_back(MakeSequenceCase("MetricsResult.rows", MetricsResultMsg{},
+                                   rows, kMany, 76));
+
+  // Histogram buckets must be nonzero, so the minimum-size bucket is any
+  // (index, count) pair; all 64 buckets are filled.
+  MetricsResultMsg one_row;
+  one_row.rows.resize(1);
+  MetricsResultMsg buckets = one_row;
+  for (std::size_t b = 0; b < LogHistogram::num_buckets(); ++b) {
+    buckets.rows[0].metrics.latency_ns.AddBucketCount(b, 1);
+  }
+  cases.push_back(MakeSequenceCase("MetricsResult.rows[0].buckets", one_row,
+                                   buckets, LogHistogram::num_buckets(), 9));
+
+  // The polygon sits in the nested predicate payload, whose length prefix
+  // differs first: its count follows the envelope, id, subscriber, that
+  // prefix, the spec kind and the bbox.
+  SubscribeMsg bbox_fence;
+  bbox_fence.spec = SubscriptionSpec::Geofence(
+      {BoundingBox::Of(0.0, 0.0, 1.0, 1.0), {}, 1, false, 0});
+  SubscribeMsg polygon = bbox_fence;
+  for (std::size_t i = 0; i < kMany; ++i) {
+    polygon.spec.geofence.polygon.push_back(
+        {static_cast<double>(i % 2), static_cast<double>(i)});
+  }
+  cases.push_back(MakeSequenceCase("Subscribe.spec.geofence.polygon",
+                                   bbox_fence, polygon, kMany, 16));
+  cases.back().count_offset = 2 + 8 + 4 + 4 + 1 + 32;
+
+  DeltaBatchMsg deltas;
+  deltas.batch.deltas.resize(kMany);
+  cases.push_back(MakeSequenceCase("DeltaBatch.deltas", DeltaBatchMsg{},
+                                   deltas, kMany, 29));
+  return cases;
+}
+
+std::uint32_t ReadCount(const std::string& payload, std::size_t offset) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(
+             static_cast<unsigned char>(payload[offset + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
 TEST(CodecTest, StructuralCorruptionIsRejected) {
   WatermarkMsg wm;
   wm.epoch = 9;
@@ -560,6 +725,331 @@ TEST(CodecTest, StructuralCorruptionIsRejected) {
   EpochResultMsg decoded_result;
   EXPECT_TRUE(Decode(Encode(result), &decoded_result).ok());
   EXPECT_FALSE(Decode(inflated_column, &decoded_result).ok());
+
+  // Every sequence field of every message, nested ones included: a count
+  // inflated far past the remaining payload is rejected before anything
+  // is allocated for it.
+  for (const SequenceCase& c : SequenceFieldCases()) {
+    SCOPED_TRACE(c.field);
+    ASSERT_LE(c.count_offset + 4, c.filled.size());
+    ASSERT_EQ(ReadCount(c.filled, c.count_offset), c.elements);
+    std::string inflated_count = c.filled;
+    for (std::size_t i = 0; i < 4; ++i) {
+      inflated_count[c.count_offset + i] = static_cast<char>(0xFF);
+    }
+    EXPECT_EQ(c.decode(inflated_count).code(), StatusCode::kParseError);
+  }
+}
+
+TEST(CodecTest, MinimumSizeElementsRoundTrip) {
+  // Each sequence filled with minimum-size elements grows the frame by
+  // exactly the element minimum per element, and still decodes: a count
+  // bound built from a larger per-element minimum would reject it.
+  for (const SequenceCase& c : SequenceFieldCases()) {
+    SCOPED_TRACE(c.field);
+    EXPECT_EQ(c.filled.size() - c.empty.size(),
+              c.elements * c.element_bytes);
+    const Status s = c.decode(c.filled);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+
+  // And one message with a default element in every sequence at once.
+  EpochResultMsg result;
+  result.slots.resize(1);
+  result.triples.resize(1);
+  result.episodes.resize(1);
+  result.events.resize(1);
+  result.events[0].entities.resize(1);
+  result.events[0].attributes[""] = 0.0;
+  result.sub_deltas.resize(1);
+  result.tags.resize(1);
+  result.node_geo.resize(1);
+  result.sub_counts.resize(1);
+  result.new_terms.resize(1);
+  ExpectRoundTrip(result);
+
+  FlushResultMsg flush;
+  flush.flush.critical_points.resize(1);
+  flush.flush.continuations.resize(1);
+  flush.flush.completed_episodes.resize(1);
+  flush.flush.trailing_episodes.resize(1);
+  flush.flush.events.resize(1);
+  ExpectRoundTrip(flush);
+}
+
+// ---------------------------------------------------------------------
+// Golden frames: one fixed instance of every MsgType, compared byte for
+// byte against the committed layout. Round trips cannot see a layout
+// change that the encoder and decoder make together; these can.
+// ---------------------------------------------------------------------
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(2 * bytes.size());
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+PositionReport GoldenReport() {
+  PositionReport r;
+  r.entity_id = 257;
+  r.domain = Domain::kAviation;
+  r.timestamp = 1000;
+  r.position = {1.5, -2.25, 300.0};
+  r.speed_mps = 12.5;
+  r.course_deg = 90.0;
+  r.vertical_rate_mps = -1.0;
+  return r;
+}
+
+Event GoldenEvent() {
+  Event e;
+  e.kind = EventKind::kComposite;
+  e.time = 1000;
+  e.predicted_time = 2000;
+  e.entities = {257, 258};
+  e.position = {1.5, -2.25, 0.0};
+  e.label = "cpa";
+  e.attributes = {{"cpa_m", 12.5}, {"d", -1.0}};
+  return e;
+}
+
+Episode GoldenEpisode(EpisodeKind kind) {
+  Episode e;
+  e.entity = 257;
+  e.kind = kind;
+  e.start_time = 1000;
+  e.end_time = 5000;
+  e.start_pos = {1.5, -2.25, 0.0};
+  e.end_pos = {1.75, -2.0, 0.0};
+  e.area = "port";
+  e.displacement_m = 10.5;
+  e.path_m = 20.25;
+  return e;
+}
+
+SubDelta GoldenDelta(DeltaKind kind) {
+  SubDelta d;
+  d.sub = 7;
+  d.kind = kind;
+  d.entity = 257;
+  d.time = 1000;
+  d.value = 3.5;
+  return d;
+}
+
+EpochResultMsg GoldenEpochResult() {
+  EpochResultMsg msg;
+  msg.epoch = 6;
+  msg.dict_size_before = 40;
+  DatacronEngine::ShardSlot slot;
+  slot.cp_count = 2;
+  slot.terms_end = 1;
+  slot.triples_end = 1;
+  slot.episodes_end = 1;
+  slot.events_end = 1;
+  slot.subs_end = 1;
+  slot.synopses_ns = 11;
+  slot.transform_ns = 22;
+  slot.keyed_cep_ns = 33;
+  msg.slots = {slot};
+  msg.triples = {{41, 2, 3}};
+  msg.episodes = {GoldenEpisode(EpisodeKind::kGap)};
+  msg.events = {GoldenEvent()};
+  msg.sub_deltas = {GoldenDelta(DeltaKind::kDwell)};
+  msg.tags = {{41, StTag{{-4, 5}, 6}}};
+  msg.node_geo = {{41, NodeGeo{1.5, -2.25, 0.0, 1000}}};
+  msg.sub_counts = {{7, 3.0}};
+  msg.new_terms = {{"dc:n", TermKind::kIri}};
+  return msg;
+}
+
+FlushResultMsg GoldenFlushResult() {
+  FlushResultMsg msg;
+  msg.flush.critical_points = {
+      {GoldenReport(), CriticalPointType::kTrajectoryEnd}};
+  msg.flush.continuations = {{257, true, 1000, true}};
+  msg.flush.completed_episodes = {GoldenEpisode(EpisodeKind::kMove)};
+  msg.flush.trailing_episodes = {GoldenEpisode(EpisodeKind::kStop)};
+  msg.flush.events = {GoldenEvent()};
+  return msg;
+}
+
+MetricsResultMsg GoldenMetricsResult() {
+  MetricsRow row;
+  row.stage = "synopses";
+  row.metrics.name = "cp";
+  row.metrics.items_in = 3;
+  row.metrics.items_out = 1;
+  for (const double ns : {128.0, 512.0, 1024.0}) {
+    row.metrics.process_nanos.Add(ns);
+    row.metrics.latency_ns.Add(ns);
+  }
+  row.instances = 2;
+  MetricsResultMsg msg;
+  msg.rows = {row};
+  return msg;
+}
+
+SubscribeMsg GoldenSubscribe(SubKind kind) {
+  SubscribeMsg msg;
+  msg.id = 9;
+  msg.subscriber = 3;
+  switch (kind) {
+    case SubKind::kGeofence: {
+      GeofenceSpec g;
+      g.bbox = BoundingBox::Of(1.0, 2.0, 3.0, 4.0);
+      g.polygon = {{1.0, 2.0}, {3.0, 2.0}, {3.0, 4.0}};
+      g.entity = 257;
+      g.dwell_ms = 60'000;
+      msg.spec = SubscriptionSpec::Geofence(std::move(g));
+      break;
+    }
+    case SubKind::kProximity:
+      msg.spec = SubscriptionSpec::Proximity({257, 5'000});
+      break;
+    case SubKind::kHotspot:
+      msg.spec = SubscriptionSpec::Hotspot(
+          {BoundingBox::Of(1.0, 2.0, 3.0, 4.0), 2.5, 4});
+      break;
+  }
+  return msg;
+}
+
+/// Encodes `msg`, compares it with the committed hex, and decodes the
+/// committed bytes back into `msg`.
+template <typename Msg>
+void ExpectGolden(const Msg& msg, const std::string& hex) {
+  const std::string payload = Encode(msg);
+  EXPECT_EQ(Hex(payload), hex);
+  Msg decoded;
+  const Status s = Decode(payload, &decoded);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(decoded == msg);
+}
+
+TEST(CodecTest, GoldenFramesMatchTheCommittedLayout) {
+  {
+    SCOPED_TRACE("Hello");
+    HelloMsg msg;
+    msg.node_id = 1;
+    msg.num_nodes = 2;
+    msg.baseline = {{"dc:a", TermKind::kIri},
+                    {"7", TermKind::kLiteralDateTime}};
+    ExpectGolden(msg,
+        "01000100000002000000020000000400000064633a6100010000003704");
+  }
+  {
+    SCOPED_TRACE("ReportBatch");
+    ReportBatchMsg msg;
+    msg.epoch = 5;
+    msg.reports = {GoldenReport()};
+    ExpectGolden(msg,
+        "02000500000000000000010000000101000001e8030000000000000000000000"
+        "00f83f00000000000002c00000000000c0724000000000000029400000000000"
+        "805640000000000000f0bf");
+  }
+  {
+    SCOPED_TRACE("EpochResult");
+    ExpectGolden(GoldenEpochResult(),
+        "0300060000000000000028000000000000000100000002000000010000000000"
+        "0000010000000000000001000000000000000100000000000000010000000000"
+        "00000b0000000000000016000000000000002100000000000000010000002900"
+        "00000000000002000000000000000300000000000000010000000101000002e8"
+        "030000000000008813000000000000000000000000f83f00000000000002c000"
+        "00000000000000000000000000fc3f00000000000000c0000000000000000004"
+        "000000706f727400000000000025400000000000403440010000000be8030000"
+        "00000000d007000000000000020000000101000002010000000000000000f83f"
+        "00000000000002c0000000000000000003000000637061020000000500000063"
+        "70615f6d00000000000029400100000064000000000000f0bf01000000070000"
+        "00000000000201010000e8030000000000000000000000000c40010000002900"
+        "000000000000fcffffff05000000060000000000000001000000290000000000"
+        "0000000000000000f83f00000000000002c00000000000000000e80300000000"
+        "0000010000000700000000000000000000000000084001000000040000006463"
+        "3a6e00");
+  }
+  {
+    SCOPED_TRACE("Watermark");
+    WatermarkMsg msg;
+    msg.epoch = -7;
+    ExpectGolden(msg, "0400f9ffffffffffffff");
+  }
+  {
+    SCOPED_TRACE("FlushResult");
+    ExpectGolden(GoldenFlushResult(),
+        "0600010000000101000001e803000000000000000000000000f83f0000000000"
+        "0002c00000000000c07240000000000000294000000000008056400000000000"
+        "00f0bf09010000000101000001e80300000000000001010000000101000001e8"
+        "030000000000008813000000000000000000000000f83f00000000000002c000"
+        "00000000000000000000000000fc3f00000000000000c0000000000000000004"
+        "000000706f727400000000000025400000000000403440010000000101000000"
+        "e8030000000000008813000000000000000000000000f83f00000000000002c0"
+        "0000000000000000000000000000fc3f00000000000000c00000000000000000"
+        "04000000706f727400000000000025400000000000403440010000000be80300"
+        "0000000000d007000000000000020000000101000002010000000000000000f8"
+        "3f00000000000002c00000000000000000030000006370610200000005000000"
+        "6370615f6d00000000000029400100000064000000000000f0bf");
+  }
+  {
+    SCOPED_TRACE("MetricsResult");
+    ExpectGolden(GoldenMetricsResult(),
+        "0800010000000800000073796e6f707365730200000063700300000000000000"
+        "010000000000000003000000000000005555555555558140abaaaaaaaaaa1841"
+        "00000000000060400000000000009040030000000801000000000000000a0100"
+        "0000000000000b01000000000000000200000000000000");
+  }
+  {
+    SCOPED_TRACE("Subscribe geofence");
+    ExpectGolden(GoldenSubscribe(SubKind::kGeofence),
+        "0a000900000000000000030000006200000000000000000000f03f0000000000"
+        "0000400000000000000840000000000000104003000000000000000000f03f00"
+        "0000000000004000000000000008400000000000000040000000000000084000"
+        "00000000001040010100000060ea000000000000");
+  }
+  {
+    SCOPED_TRACE("Subscribe proximity");
+    ExpectGolden(GoldenSubscribe(SubKind::kProximity),
+        "0a000900000000000000030000000d00000001010100008813000000000000");
+  }
+  {
+    SCOPED_TRACE("Subscribe hotspot");
+    ExpectGolden(GoldenSubscribe(SubKind::kHotspot),
+        "0a000900000000000000030000002d00000002000000000000f03f0000000000"
+        "00004000000000000008400000000000001040000000000000044004000000");
+  }
+  {
+    SCOPED_TRACE("Unsubscribe");
+    UnsubscribeMsg msg;
+    msg.id = 9;
+    msg.subscriber = 3;
+    ExpectGolden(msg, "0b00090000000000000003000000");
+  }
+  {
+    SCOPED_TRACE("SubAck");
+    SubAckMsg msg;
+    msg.id = 9;
+    msg.ok = false;
+    msg.error = "no";
+    ExpectGolden(msg, "0c00090000000000000000020000006e6f");
+  }
+  {
+    SCOPED_TRACE("DeltaBatch");
+    DeltaBatchMsg msg;
+    msg.batch.subscriber = 3;
+    msg.batch.epoch = 8;
+    msg.batch.deltas = {GoldenDelta(DeltaKind::kHotspotOff)};
+    ExpectGolden(msg,
+        "0d000300000008000000000000000100000007000000000000000601010000e8"
+        "030000000000000000000000000c40");
+  }
+  EXPECT_EQ(Hex(EncodeControl(MsgType::kFlushRequest)), "0500");
+  EXPECT_EQ(Hex(EncodeControl(MsgType::kMetricsRequest)), "0700");
+  EXPECT_EQ(Hex(EncodeControl(MsgType::kShutdown)), "0900");
 }
 
 // ---------------------------------------------------------------------
