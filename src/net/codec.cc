@@ -1,6 +1,12 @@
 #include "net/codec.h"
 
+#include <concepts>
+#include <map>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace datacron {
 
@@ -12,467 +18,415 @@ namespace {
     if (Status _s = (expr); !_s.ok()) return _s;  \
   } while (0)
 
-/// Reads a u8 enum value, rejecting anything past `max` — a corrupted
-/// frame must not produce an out-of-range enum.
-template <typename E>
-Status GetEnum(WireReader& r, E* v, E max) {
-  std::uint8_t u = 0;
-  DC_RET(r.U8(&u));
-  if (u > static_cast<std::uint8_t>(max)) {
-    return Status::ParseError("enum value out of range");
-  }
-  *v = static_cast<E>(u);
-  return Status::OK();
-}
-
-// --- field codecs, one Put/Get pair per struct --------------------------
-
-void Put(WireWriter& w, const GeoPoint& p) {
-  w.F64(p.lat_deg);
-  w.F64(p.lon_deg);
-  w.F64(p.alt_m);
-}
-
-Status Get(WireReader& r, GeoPoint* p) {
-  DC_RET(r.F64(&p->lat_deg));
-  DC_RET(r.F64(&p->lon_deg));
-  DC_RET(r.F64(&p->alt_m));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const PositionReport& rep) {
-  w.U32(rep.entity_id);
-  w.U8(static_cast<std::uint8_t>(rep.domain));
-  w.I64(rep.timestamp);
-  Put(w, rep.position);
-  w.F64(rep.speed_mps);
-  w.F64(rep.course_deg);
-  w.F64(rep.vertical_rate_mps);
-}
-constexpr std::size_t kMinReportBytes = 61;
-
-Status Get(WireReader& r, PositionReport* rep) {
-  DC_RET(r.U32(&rep->entity_id));
-  DC_RET(GetEnum(r, &rep->domain, Domain::kAviation));
-  DC_RET(r.I64(&rep->timestamp));
-  DC_RET(Get(r, &rep->position));
-  DC_RET(r.F64(&rep->speed_mps));
-  DC_RET(r.F64(&rep->course_deg));
-  DC_RET(r.F64(&rep->vertical_rate_mps));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const Event& e) {
-  w.U8(static_cast<std::uint8_t>(e.kind));
-  w.I64(e.time);
-  w.I64(e.predicted_time);
-  w.U32(static_cast<std::uint32_t>(e.entities.size()));
-  for (EntityId id : e.entities) w.U32(id);
-  Put(w, e.position);
-  w.Str(e.label);
-  w.U32(static_cast<std::uint32_t>(e.attributes.size()));
-  for (const auto& [key, value] : e.attributes) {
-    w.Str(key);
-    w.F64(value);
-  }
-}
-constexpr std::size_t kMinEventBytes = 53;
-
-Status Get(WireReader& r, Event* e) {
-  DC_RET(GetEnum(r, &e->kind, EventKind::kComposite));
-  DC_RET(r.I64(&e->time));
-  DC_RET(r.I64(&e->predicted_time));
-  std::size_t n = 0;
-  DC_RET(r.Count(&n, sizeof(std::uint32_t)));
-  e->entities.resize(n);
-  for (std::size_t i = 0; i < n; ++i) DC_RET(r.U32(&e->entities[i]));
-  DC_RET(Get(r, &e->position));
-  DC_RET(r.Str(&e->label));
-  DC_RET(r.Count(&n, /*min_element_bytes=*/12));
-  e->attributes.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string key;
-    double value = 0.0;
-    DC_RET(r.Str(&key));
-    DC_RET(r.F64(&value));
-    e->attributes.emplace_hint(e->attributes.end(), std::move(key), value);
-  }
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const Episode& e) {
-  w.U32(e.entity);
-  w.U8(static_cast<std::uint8_t>(e.kind));
-  w.I64(e.start_time);
-  w.I64(e.end_time);
-  Put(w, e.start_pos);
-  Put(w, e.end_pos);
-  w.Str(e.area);
-  w.F64(e.displacement_m);
-  w.F64(e.path_m);
-}
-constexpr std::size_t kMinEpisodeBytes = 89;
-
-Status Get(WireReader& r, Episode* e) {
-  DC_RET(r.U32(&e->entity));
-  DC_RET(GetEnum(r, &e->kind, EpisodeKind::kGap));
-  DC_RET(r.I64(&e->start_time));
-  DC_RET(r.I64(&e->end_time));
-  DC_RET(Get(r, &e->start_pos));
-  DC_RET(Get(r, &e->end_pos));
-  DC_RET(r.Str(&e->area));
-  DC_RET(r.F64(&e->displacement_m));
-  DC_RET(r.F64(&e->path_m));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const Triple& t) {
-  w.U64(t.s);
-  w.U64(t.p);
-  w.U64(t.o);
-}
-constexpr std::size_t kMinTripleBytes = 24;
-
-Status Get(WireReader& r, Triple* t) {
-  DC_RET(r.U64(&t->s));
-  DC_RET(r.U64(&t->p));
-  DC_RET(r.U64(&t->o));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const TermExport& t) {
-  w.Str(t.text);
-  w.U8(static_cast<std::uint8_t>(t.kind));
-}
-constexpr std::size_t kMinTermBytes = 5;
-
-Status Get(WireReader& r, TermExport* t) {
-  DC_RET(r.Str(&t->text));
-  DC_RET(GetEnum(r, &t->kind, TermKind::kLiteralDateTime));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const std::pair<TermId, StTag>& tag) {
-  w.U64(tag.first);
-  w.U32(static_cast<std::uint32_t>(tag.second.cell.ix));
-  w.U32(static_cast<std::uint32_t>(tag.second.cell.iy));
-  w.I64(tag.second.bucket);
-}
-constexpr std::size_t kMinTagBytes = 24;
-
-Status Get(WireReader& r, std::pair<TermId, StTag>* tag) {
-  DC_RET(r.U64(&tag->first));
-  std::uint32_t ix = 0;
-  std::uint32_t iy = 0;
-  DC_RET(r.U32(&ix));
-  DC_RET(r.U32(&iy));
-  tag->second.cell.ix = static_cast<std::int32_t>(ix);
-  tag->second.cell.iy = static_cast<std::int32_t>(iy);
-  DC_RET(r.I64(&tag->second.bucket));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const std::pair<TermId, NodeGeo>& g) {
-  w.U64(g.first);
-  w.F64(g.second.lat_deg);
-  w.F64(g.second.lon_deg);
-  w.F64(g.second.alt_m);
-  w.I64(g.second.timestamp);
-}
-constexpr std::size_t kMinNodeGeoBytes = 40;
-
-Status Get(WireReader& r, std::pair<TermId, NodeGeo>* g) {
-  DC_RET(r.U64(&g->first));
-  DC_RET(r.F64(&g->second.lat_deg));
-  DC_RET(r.F64(&g->second.lon_deg));
-  DC_RET(r.F64(&g->second.alt_m));
-  DC_RET(r.I64(&g->second.timestamp));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const LatLon& p) {
-  w.F64(p.lat_deg);
-  w.F64(p.lon_deg);
-}
-constexpr std::size_t kMinLatLonBytes = 16;
-
-Status Get(WireReader& r, LatLon* p) {
-  DC_RET(r.F64(&p->lat_deg));
-  DC_RET(r.F64(&p->lon_deg));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const BoundingBox& b) {
-  w.F64(b.min_lat);
-  w.F64(b.min_lon);
-  w.F64(b.max_lat);
-  w.F64(b.max_lon);
-}
-
-Status Get(WireReader& r, BoundingBox* b) {
-  DC_RET(r.F64(&b->min_lat));
-  DC_RET(r.F64(&b->min_lon));
-  DC_RET(r.F64(&b->max_lat));
-  DC_RET(r.F64(&b->max_lon));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const SubDelta& d) {
-  w.U64(d.sub);
-  w.U8(static_cast<std::uint8_t>(d.kind));
-  w.U32(d.entity);
-  w.I64(d.time);
-  w.F64(d.value);
-}
-constexpr std::size_t kMinSubDeltaBytes = 29;
-
-Status Get(WireReader& r, SubDelta* d) {
-  DC_RET(r.U64(&d->sub));
-  DC_RET(GetEnum(r, &d->kind, DeltaKind::kHotspotOff));
-  DC_RET(r.U32(&d->entity));
-  DC_RET(r.I64(&d->time));
-  DC_RET(r.F64(&d->value));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const std::pair<std::uint64_t, double>& c) {
-  w.U64(c.first);
-  w.F64(c.second);
-}
-constexpr std::size_t kMinSubCountBytes = 16;
-
-Status Get(WireReader& r, std::pair<std::uint64_t, double>* c) {
-  DC_RET(r.U64(&c->first));
-  DC_RET(r.F64(&c->second));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const CriticalPoint& cp) {
-  Put(w, cp.report);
-  w.U8(static_cast<std::uint8_t>(cp.type));
-}
-constexpr std::size_t kMinCriticalPointBytes = kMinReportBytes + 1;
-
-Status Get(WireReader& r, CriticalPoint* cp) {
-  DC_RET(Get(r, &cp->report));
-  DC_RET(GetEnum(r, &cp->type, CriticalPointType::kTrajectoryEnd));
-  return Status::OK();
-}
-
-void Put(WireWriter& w, const EntityRdfContinuation& c) {
-  w.U32(c.entity);
-  w.Bool(c.has_prev_node);
-  w.I64(c.prev_node_ts);
-  w.Bool(c.rdf_known);
-}
-constexpr std::size_t kMinContinuationBytes = 14;
-
-Status Get(WireReader& r, EntityRdfContinuation* c) {
-  DC_RET(r.U32(&c->entity));
-  DC_RET(r.Bool(&c->has_prev_node));
-  DC_RET(r.I64(&c->prev_node_ts));
-  DC_RET(r.Bool(&c->rdf_known));
-  return Status::OK();
-}
-
 using ShardSlot = DatacronEngine::ShardSlot;
 
-/// A slot travels as cp_count, the watermark columns, then the keyed
-/// timings, in this order. `arena` is not shipped: the coordinator
-/// assigns it.
-constexpr std::size_t ShardSlot::*kSlotMarks[] = {
-    &ShardSlot::terms_end,    &ShardSlot::triples_end,
-    &ShardSlot::episodes_end, &ShardSlot::events_end,
-    &ShardSlot::subs_end};
-constexpr std::int64_t ShardSlot::*kSlotTimings[] = {
-    &ShardSlot::synopses_ns, &ShardSlot::transform_ns,
-    &ShardSlot::keyed_cep_ns};
+// --- enum ranges ---------------------------------------------------------
+//
+// The largest valid value of every enum on the wire. Enums travel as one
+// byte; the decoder rejects anything past the maximum, so a corrupted
+// frame never produces an out-of-range enum.
 
-void Put(WireWriter& w, const ShardSlot& slot) {
-  w.U32(slot.cp_count);
-  for (auto mark : kSlotMarks) w.U64(slot.*mark);
-  for (auto timing : kSlotTimings) w.I64(slot.*timing);
+constexpr Domain EnumMax(Domain) { return Domain::kAviation; }
+constexpr EventKind EnumMax(EventKind) { return EventKind::kComposite; }
+constexpr EpisodeKind EnumMax(EpisodeKind) { return EpisodeKind::kGap; }
+constexpr TermKind EnumMax(TermKind) { return TermKind::kLiteralDateTime; }
+constexpr DeltaKind EnumMax(DeltaKind) { return DeltaKind::kHotspotOff; }
+constexpr CriticalPointType EnumMax(CriticalPointType) {
+  return CriticalPointType::kTrajectoryEnd;
 }
-constexpr std::size_t kMinSlotBytes = 4 + 5 * 8 + 3 * 8;
+constexpr SubKind EnumMax(SubKind) { return SubKind::kHotspot; }
+/// The envelope's u16 tag, checked by DecodeType.
+constexpr MsgType EnumMax(MsgType) { return MsgType::kDeltaBatch; }
 
-Status Get(WireReader& r, ShardSlot* slot) {
-  DC_RET(r.U32(&slot->cp_count));
-  for (auto mark : kSlotMarks) {
-    std::uint64_t v = 0;
-    DC_RET(r.U64(&v));
-    slot->*mark = v;
-  }
-  for (auto timing : kSlotTimings) DC_RET(r.I64(&(slot->*timing)));
-  return Status::OK();
-}
+// --- field lists ---------------------------------------------------------
+//
+// One per wire struct: its members in wire order, as a tuple of
+// references. `T` is the struct or the const struct, so the same list
+// serves the encoder and the decoder. A member left out does not travel.
 
-// Forward declarations so the vector helpers can encode compound elements
-// whose Put/Get pairs are defined further down.
-void Put(WireWriter& w, const MetricsRow& row);
-Status Get(WireReader& r, MetricsRow* row);
-
-/// Vector helper over any element with a Put/Get pair above.
-template <typename T>
-void PutVec(WireWriter& w, const std::vector<T>& v) {
-  w.U32(static_cast<std::uint32_t>(v.size()));
-  for (const T& item : v) Put(w, item);
-}
+template <typename T, typename U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
 
 template <typename T>
-Status GetVec(WireReader& r, std::vector<T>* v, std::size_t min_bytes) {
-  std::size_t n = 0;
-  DC_RET(r.Count(&n, min_bytes));
-  v->resize(n);
-  for (std::size_t i = 0; i < n; ++i) DC_RET(Get(r, &(*v)[i]));
-  return Status::OK();
+constexpr bool kIsPair = false;
+template <typename A, typename B>
+constexpr bool kIsPair<std::pair<A, B>> = true;
+
+/// Side-table entries, sub counts, map entries and histogram buckets.
+template <typename T>
+  requires kIsPair<std::remove_const_t<T>>
+auto Fields(T& p) { return std::tie(p.first, p.second); }
+
+template <Is<GeoPoint> T>
+auto Fields(T& p) { return std::tie(p.lat_deg, p.lon_deg, p.alt_m); }
+
+template <Is<LatLon> T>
+auto Fields(T& p) { return std::tie(p.lat_deg, p.lon_deg); }
+
+template <Is<BoundingBox> T>
+auto Fields(T& b) {
+  return std::tie(b.min_lat, b.min_lon, b.max_lat, b.max_lon);
 }
 
-// --- subscription predicate (nested payload inside Subscribe) -----------
+template <Is<GridCell> T>
+auto Fields(T& c) { return std::tie(c.ix, c.iy); }
 
-void Put(WireWriter& w, const SubscriptionSpec& spec) {
-  w.U8(static_cast<std::uint8_t>(spec.kind));
-  switch (spec.kind) {
-    case SubKind::kGeofence:
-      Put(w, spec.geofence.bbox);
-      PutVec(w, spec.geofence.polygon);
-      w.U32(spec.geofence.entity);
-      w.Bool(spec.geofence.all_entities);
-      w.I64(spec.geofence.dwell_ms);
-      break;
-    case SubKind::kProximity:
-      w.U32(spec.proximity.entity);
-      w.I64(spec.proximity.min_interval_ms);
-      break;
-    case SubKind::kHotspot:
-      Put(w, spec.hotspot.bbox);
-      w.F64(spec.hotspot.threshold);
-      w.U32(spec.hotspot.window_epochs);
-      break;
+template <Is<PositionReport> T>
+auto Fields(T& r) {
+  return std::tie(r.entity_id, r.domain, r.timestamp, r.position,
+                  r.speed_mps, r.course_deg, r.vertical_rate_mps);
+}
+
+template <Is<Event> T>
+auto Fields(T& e) {
+  return std::tie(e.kind, e.time, e.predicted_time, e.entities, e.position,
+                  e.label, e.attributes);
+}
+
+template <Is<Episode> T>
+auto Fields(T& e) {
+  return std::tie(e.entity, e.kind, e.start_time, e.end_time, e.start_pos,
+                  e.end_pos, e.area, e.displacement_m, e.path_m);
+}
+
+template <Is<Triple> T>
+auto Fields(T& t) { return std::tie(t.s, t.p, t.o); }
+
+template <Is<TermExport> T>
+auto Fields(T& t) { return std::tie(t.text, t.kind); }
+
+template <Is<StTag> T>
+auto Fields(T& t) { return std::tie(t.cell, t.bucket); }
+
+template <Is<NodeGeo> T>
+auto Fields(T& g) {
+  return std::tie(g.lat_deg, g.lon_deg, g.alt_m, g.timestamp);
+}
+
+template <Is<SubDelta> T>
+auto Fields(T& d) { return std::tie(d.sub, d.kind, d.entity, d.time, d.value); }
+
+template <Is<CriticalPoint> T>
+auto Fields(T& cp) { return std::tie(cp.report, cp.type); }
+
+template <Is<EntityRdfContinuation> T>
+auto Fields(T& c) {
+  return std::tie(c.entity, c.has_prev_node, c.prev_node_ts, c.rdf_known);
+}
+
+/// `arena` is not shipped: the coordinator assigns it.
+template <Is<ShardSlot> T>
+auto Fields(T& s) {
+  return std::tie(s.cp_count, s.terms_end, s.triples_end, s.episodes_end,
+                  s.events_end, s.subs_end, s.synopses_ns, s.transform_ns,
+                  s.keyed_cep_ns);
+}
+
+template <Is<KeyedFlush> T>
+auto Fields(T& f) {
+  return std::tie(f.critical_points, f.continuations, f.completed_episodes,
+                  f.trailing_episodes, f.events);
+}
+
+template <Is<MetricsRow> T>
+auto Fields(T& row) { return std::tie(row.stage, row.metrics, row.instances); }
+
+template <Is<GeofenceSpec> T>
+auto Fields(T& g) {
+  return std::tie(g.bbox, g.polygon, g.entity, g.all_entities, g.dwell_ms);
+}
+
+template <Is<ProximitySpec> T>
+auto Fields(T& p) { return std::tie(p.entity, p.min_interval_ms); }
+
+template <Is<HotspotSpec> T>
+auto Fields(T& h) { return std::tie(h.bbox, h.threshold, h.window_epochs); }
+
+template <Is<DeltaBatch> T>
+auto Fields(T& b) { return std::tie(b.subscriber, b.epoch, b.deltas); }
+
+// Messages (the u16 kType envelope precedes the list).
+
+template <Is<HelloMsg> T>
+auto Fields(T& m) { return std::tie(m.node_id, m.num_nodes, m.baseline); }
+
+template <Is<ReportBatchMsg> T>
+auto Fields(T& m) { return std::tie(m.epoch, m.reports); }
+
+template <Is<EpochResultMsg> T>
+auto Fields(T& m) {
+  return std::tie(m.epoch, m.dict_size_before, m.slots, m.triples,
+                  m.episodes, m.events, m.sub_deltas, m.tags, m.node_geo,
+                  m.sub_counts, m.new_terms);
+}
+
+template <Is<WatermarkMsg> T>
+auto Fields(T& m) { return std::tie(m.epoch); }
+
+template <Is<FlushResultMsg> T>
+auto Fields(T& m) { return std::tie(m.flush); }
+
+template <Is<MetricsResultMsg> T>
+auto Fields(T& m) { return std::tie(m.rows); }
+
+template <Is<SubscribeMsg> T>
+auto Fields(T& m) { return std::tie(m.id, m.subscriber, m.spec); }
+
+template <Is<UnsubscribeMsg> T>
+auto Fields(T& m) { return std::tie(m.id, m.subscriber); }
+
+template <Is<SubAckMsg> T>
+auto Fields(T& m) { return std::tie(m.id, m.ok, m.error); }
+
+template <Is<DeltaBatchMsg> T>
+auto Fields(T& m) { return std::tie(m.batch); }
+
+template <typename T>
+concept HasFields = requires(T& x) { Fields(x); };
+
+template <typename T>
+concept WireEnum = std::is_enum_v<T> && sizeof(T) == 1;
+
+/// OperatorMetrics' nonzero histogram buckets: (index, count).
+using HistogramBuckets = std::vector<std::pair<std::uint8_t, std::uint64_t>>;
+
+// --- visitors ------------------------------------------------------------
+
+/// Encodes any wire value: a struct field by field through its list, a
+/// sequence as a u32 count then its elements, a leaf as its primitive.
+class Writer {
+ public:
+  explicit Writer(WireWriter& w) : w_(w) {}
+
+  template <std::integral I>
+  void operator()(I v) {
+    if constexpr (std::same_as<I, bool>) {
+      w_.Bool(v);
+    } else if constexpr (sizeof(I) == 1) {
+      w_.U8(static_cast<std::uint8_t>(v));
+    } else if constexpr (sizeof(I) == 4) {
+      w_.U32(static_cast<std::uint32_t>(v));
+    } else {
+      static_assert(sizeof(I) == 8);
+      w_.U64(static_cast<std::uint64_t>(v));
+    }
   }
-}
-
-Status Get(WireReader& r, SubscriptionSpec* spec) {
-  *spec = SubscriptionSpec{};
-  DC_RET(GetEnum(r, &spec->kind, SubKind::kHotspot));
-  switch (spec->kind) {
-    case SubKind::kGeofence:
-      DC_RET(Get(r, &spec->geofence.bbox));
-      DC_RET(GetVec(r, &spec->geofence.polygon, kMinLatLonBytes));
-      if (spec->geofence.polygon.size() > kMaxGeofenceVertices) {
-        return Status::ParseError("geofence polygon too large");
-      }
-      DC_RET(r.U32(&spec->geofence.entity));
-      DC_RET(r.Bool(&spec->geofence.all_entities));
-      DC_RET(r.I64(&spec->geofence.dwell_ms));
-      break;
-    case SubKind::kProximity:
-      DC_RET(r.U32(&spec->proximity.entity));
-      DC_RET(r.I64(&spec->proximity.min_interval_ms));
-      break;
-    case SubKind::kHotspot:
-      DC_RET(Get(r, &spec->hotspot.bbox));
-      DC_RET(r.F64(&spec->hotspot.threshold));
-      DC_RET(r.U32(&spec->hotspot.window_epochs));
-      break;
+  void operator()(double v) { w_.F64(v); }
+  void operator()(const std::string& s) { w_.Str(s); }
+  template <WireEnum E>
+  void operator()(E e) {
+    w_.U8(static_cast<std::uint8_t>(e));
   }
-  return Status::OK();
+  template <typename T>
+  void operator()(const std::vector<T>& v) {
+    w_.U32(static_cast<std::uint32_t>(v.size()));
+    for (const T& item : v) (*this)(item);
+  }
+  template <typename K, typename V>
+  void operator()(const std::map<K, V>& m) {
+    w_.U32(static_cast<std::uint32_t>(m.size()));
+    for (const auto& entry : m) (*this)(entry);
+  }
+  template <HasFields T>
+  void operator()(const T& x) {
+    std::apply([this](const auto&... f) { All(f...); }, Fields(x));
+  }
+
+  void operator()(const OperatorMetrics& m);
+  void operator()(const SubscriptionSpec& spec);
+
+ private:
+  template <typename... F>
+  void All(const F&... f) {
+    ((*this)(f), ...);
+  }
+
+  WireWriter& w_;
+};
+
+/// The encoded size of a default-constructed T, computed once per type:
+/// the fewest bytes a sequence element of type T occupies (its strings
+/// and sequences empty), and so the bound on a sequence's count.
+template <typename T>
+std::size_t MinBytes() {
+  static const std::size_t bytes = [] {
+    WireWriter w;
+    Writer writer(w);
+    writer(T{});
+    return w.size();
+  }();
+  return bytes;
 }
 
-void Put(WireWriter& w, const KeyedFlush& f) {
-  PutVec(w, f.critical_points);
-  PutVec(w, f.continuations);
-  PutVec(w, f.completed_episodes);
-  PutVec(w, f.trailing_episodes);
-  PutVec(w, f.events);
-}
+/// Decodes what Writer encodes, checking every enum range, bool and
+/// sequence count on the way.
+class Reader {
+ public:
+  explicit Reader(WireReader& r) : r_(r) {}
 
-Status Get(WireReader& r, KeyedFlush* f) {
-  DC_RET(GetVec(r, &f->critical_points, kMinCriticalPointBytes));
-  DC_RET(GetVec(r, &f->continuations, kMinContinuationBytes));
-  DC_RET(GetVec(r, &f->completed_episodes, kMinEpisodeBytes));
-  DC_RET(GetVec(r, &f->trailing_episodes, kMinEpisodeBytes));
-  DC_RET(GetVec(r, &f->events, kMinEventBytes));
-  return Status::OK();
-}
+  template <std::integral I>
+  Status operator()(I& v) {
+    if constexpr (std::same_as<I, bool>) {
+      return r_.Bool(&v);
+    } else {
+      std::make_unsigned_t<I> u = 0;
+      Status s = ReadUint(&u);
+      v = static_cast<I>(u);
+      return s;
+    }
+  }
+  Status operator()(double& v) { return r_.F64(&v); }
+  Status operator()(std::string& s) { return r_.Str(&s); }
+  template <WireEnum E>
+  Status operator()(E& e) {
+    std::uint8_t u = 0;
+    DC_RET(r_.U8(&u));
+    if (u > static_cast<std::uint8_t>(EnumMax(E{}))) {
+      return Status::ParseError("enum value out of range");
+    }
+    e = static_cast<E>(u);
+    return Status::OK();
+  }
+  template <typename T>
+  Status operator()(std::vector<T>& v) {
+    std::size_t n = 0;
+    DC_RET(r_.Count(&n, MinBytes<T>()));
+    v.resize(n);
+    for (T& item : v) DC_RET((*this)(item));
+    return Status::OK();
+  }
+  template <typename K, typename V>
+  Status operator()(std::map<K, V>& m) {
+    std::size_t n = 0;
+    DC_RET(r_.Count(&n, MinBytes<std::pair<K, V>>()));
+    m.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      std::pair<K, V> entry;
+      DC_RET((*this)(entry));
+      m.emplace_hint(m.end(), std::move(entry));
+    }
+    return Status::OK();
+  }
+  template <HasFields T>
+  Status operator()(T& x) {
+    return std::apply([this](auto&... f) { return All(f...); }, Fields(x));
+  }
+
+  Status operator()(OperatorMetrics& m);
+  Status operator()(SubscriptionSpec& spec);
+
+ private:
+  Status ReadUint(std::uint8_t* u) { return r_.U8(u); }
+  Status ReadUint(std::uint32_t* u) { return r_.U32(u); }
+  Status ReadUint(std::uint64_t* u) { return r_.U64(u); }
+
+  /// Reads the fields in order and stops at the first failure.
+  template <typename... F>
+  Status All(F&... f) {
+    Status error;
+    (void)(Ok((*this)(f), &error) && ...);
+    return error;
+  }
+  static bool Ok(Status s, Status* error) {
+    if (s.ok()) return true;
+    *error = std::move(s);
+    return false;
+  }
+
+  WireReader& r_;
+};
+
+// --- hand-written leaves -------------------------------------------------
 
 /// OperatorMetrics ships its mergeable raw state: the Welford accumulator
 /// fields and the nonzero histogram buckets (sparse — most of the 64 log2
 /// buckets are empty for any real latency distribution).
-void Put(WireWriter& w, const OperatorMetrics& m) {
-  w.Str(m.name);
-  w.U64(m.items_in);
-  w.U64(m.items_out);
-  w.U64(m.process_nanos.count());
-  w.F64(m.process_nanos.mean());
-  w.F64(m.process_nanos.m2());
-  w.F64(m.process_nanos.min());
-  w.F64(m.process_nanos.max());
-  std::uint32_t nonzero = 0;
+void Writer::operator()(const OperatorMetrics& m) {
+  HistogramBuckets buckets;
   for (std::size_t b = 0; b < LogHistogram::num_buckets(); ++b) {
-    if (m.latency_ns.bucket_count(b) != 0) ++nonzero;
+    if (const std::size_t c = m.latency_ns.bucket_count(b); c != 0) {
+      buckets.emplace_back(static_cast<std::uint8_t>(b), c);
+    }
   }
-  w.U32(nonzero);
-  for (std::size_t b = 0; b < LogHistogram::num_buckets(); ++b) {
-    const std::size_t c = m.latency_ns.bucket_count(b);
-    if (c == 0) continue;
-    w.U8(static_cast<std::uint8_t>(b));
-    w.U64(c);
-  }
+  const RunningStats& s = m.process_nanos;
+  All(m.name, m.items_in, m.items_out, s.count(), s.mean(), s.m2(), s.min(),
+      s.max(), buckets);
 }
-constexpr std::size_t kMinMetricsBytes = 64;
 
-Status Get(WireReader& r, OperatorMetrics* m) {
-  DC_RET(r.Str(&m->name));
-  std::uint64_t items_in = 0;
-  std::uint64_t items_out = 0;
-  DC_RET(r.U64(&items_in));
-  DC_RET(r.U64(&items_out));
-  m->items_in = items_in;
-  m->items_out = items_out;
-  std::uint64_t count = 0;
+Status Reader::operator()(OperatorMetrics& m) {
+  std::size_t count = 0;
   double mean = 0.0;
   double m2 = 0.0;
   double min = 0.0;
   double max = 0.0;
-  DC_RET(r.U64(&count));
-  DC_RET(r.F64(&mean));
-  DC_RET(r.F64(&m2));
-  DC_RET(r.F64(&min));
-  DC_RET(r.F64(&max));
-  m->process_nanos = RunningStats::FromRaw(count, mean, m2, min, max);
-  std::size_t buckets = 0;
-  DC_RET(r.Count(&buckets, /*min_element_bytes=*/9));
-  m->latency_ns = LogHistogram();
-  for (std::size_t i = 0; i < buckets; ++i) {
-    std::uint8_t b = 0;
-    std::uint64_t c = 0;
-    DC_RET(r.U8(&b));
-    DC_RET(r.U64(&c));
+  HistogramBuckets buckets;
+  DC_RET(All(m.name, m.items_in, m.items_out, count, mean, m2, min, max,
+             buckets));
+  m.process_nanos = RunningStats::FromRaw(count, mean, m2, min, max);
+  m.latency_ns = LogHistogram();
+  for (const auto& [b, c] : buckets) {
     if (b >= LogHistogram::num_buckets() || c == 0) {
       return Status::ParseError("bad histogram bucket");
     }
-    m->latency_ns.AddBucketCount(b, c);
+    m.latency_ns.AddBucketCount(b, c);
   }
   return Status::OK();
 }
 
-void Put(WireWriter& w, const MetricsRow& row) {
-  w.Str(row.stage);
-  Put(w, row.metrics);
-  w.U64(row.instances);
+/// The predicate travels as a nested length-prefixed payload, the kind
+/// then that kind's spec, so the decoder can bound it before parsing a
+/// single field of it.
+void Writer::operator()(const SubscriptionSpec& spec) {
+  WireWriter inner;
+  Writer writer(inner);
+  writer(spec.kind);
+  switch (spec.kind) {
+    case SubKind::kGeofence:
+      writer(spec.geofence);
+      break;
+    case SubKind::kProximity:
+      writer(spec.proximity);
+      break;
+    case SubKind::kHotspot:
+      writer(spec.hotspot);
+      break;
+  }
+  w_.Str(inner.data());
 }
-constexpr std::size_t kMinRowBytes = 4 + kMinMetricsBytes + 8;
 
-Status Get(WireReader& r, MetricsRow* row) {
-  DC_RET(r.Str(&row->stage));
-  DC_RET(Get(r, &row->metrics));
-  std::uint64_t instances = 0;
-  DC_RET(r.U64(&instances));
-  row->instances = instances;
-  return Status::OK();
+Status Reader::operator()(SubscriptionSpec& spec) {
+  std::string predicate;
+  DC_RET(r_.Str(&predicate));
+  // Bound the nested payload before parsing any of it: an empty predicate
+  // is not a subscription, and an oversized one is corruption (or abuse),
+  // not a request.
+  if (predicate.empty()) {
+    return Status::ParseError("empty subscription predicate");
+  }
+  if (predicate.size() > kMaxSubPredicateBytes) {
+    return Status::ParseError("oversized subscription predicate");
+  }
+  WireReader pr(predicate);
+  Reader reader(pr);
+  spec = SubscriptionSpec{};
+  DC_RET(reader(spec.kind));
+  switch (spec.kind) {
+    case SubKind::kGeofence:
+      DC_RET(reader(spec.geofence));
+      if (spec.geofence.polygon.size() > kMaxGeofenceVertices) {
+        return Status::ParseError("geofence polygon too large");
+      }
+      break;
+    case SubKind::kProximity:
+      DC_RET(reader(spec.proximity));
+      break;
+    case SubKind::kHotspot:
+      DC_RET(reader(spec.hotspot));
+      break;
+  }
+  DC_RET(pr.ExpectEnd());
+  return ValidateSpec(spec);
 }
-
-// --- envelope -----------------------------------------------------------
 
 WireWriter Envelope(MsgType type) {
   WireWriter w;
@@ -480,98 +434,13 @@ WireWriter Envelope(MsgType type) {
   return w;
 }
 
-Status OpenEnvelope(WireReader& r, MsgType expected) {
-  std::uint16_t type = 0;
-  DC_RET(r.U16(&type));
-  if (type != static_cast<std::uint16_t>(expected)) {
-    return Status::ParseError("unexpected message type");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
-std::string Encode(const HelloMsg& msg) {
-  WireWriter w = Envelope(MsgType::kHello);
-  w.U32(msg.node_id);
-  w.U32(msg.num_nodes);
-  PutVec(w, msg.baseline);
-  return w.Take();
-}
-
-std::string Encode(const ReportBatchMsg& msg) {
-  WireWriter w = Envelope(MsgType::kReportBatch);
-  w.I64(msg.epoch);
-  PutVec(w, msg.reports);
-  return w.Take();
-}
-
-std::string Encode(const EpochResultMsg& msg) {
-  WireWriter w = Envelope(MsgType::kEpochResult);
-  w.I64(msg.epoch);
-  w.U64(msg.dict_size_before);
-  PutVec(w, msg.slots);
-  PutVec(w, msg.triples);
-  PutVec(w, msg.episodes);
-  PutVec(w, msg.events);
-  PutVec(w, msg.sub_deltas);
-  PutVec(w, msg.tags);
-  PutVec(w, msg.node_geo);
-  PutVec(w, msg.sub_counts);
-  PutVec(w, msg.new_terms);
-  return w.Take();
-}
-
-std::string Encode(const WatermarkMsg& msg) {
-  WireWriter w = Envelope(MsgType::kWatermark);
-  w.I64(msg.epoch);
-  return w.Take();
-}
-
-std::string Encode(const FlushResultMsg& msg) {
-  WireWriter w = Envelope(MsgType::kFlushResult);
-  Put(w, msg.flush);
-  return w.Take();
-}
-
-std::string Encode(const MetricsResultMsg& msg) {
-  WireWriter w = Envelope(MsgType::kMetricsResult);
-  PutVec(w, msg.rows);
-  return w.Take();
-}
-
-std::string Encode(const SubscribeMsg& msg) {
-  WireWriter w = Envelope(MsgType::kSubscribe);
-  w.U64(msg.id);
-  w.U32(msg.subscriber);
-  // The predicate travels as a nested length-prefixed payload so the
-  // decoder can bound it before parsing a single field of it.
-  WireWriter inner;
-  Put(inner, msg.spec);
-  w.Str(inner.data());
-  return w.Take();
-}
-
-std::string Encode(const UnsubscribeMsg& msg) {
-  WireWriter w = Envelope(MsgType::kUnsubscribe);
-  w.U64(msg.id);
-  w.U32(msg.subscriber);
-  return w.Take();
-}
-
-std::string Encode(const SubAckMsg& msg) {
-  WireWriter w = Envelope(MsgType::kSubAck);
-  w.U64(msg.id);
-  w.Bool(msg.ok);
-  w.Str(msg.error);
-  return w.Take();
-}
-
-std::string Encode(const DeltaBatchMsg& msg) {
-  WireWriter w = Envelope(MsgType::kDeltaBatch);
-  w.U32(msg.batch.subscriber);
-  w.I64(msg.batch.epoch);
-  PutVec(w, msg.batch.deltas);
+template <WireMessage Msg>
+std::string Encode(const Msg& msg) {
+  WireWriter w = Envelope(Msg::kType);
+  Writer writer(w);
+  writer(msg);
   return w.Take();
 }
 
@@ -584,116 +453,47 @@ Status DecodeType(const std::string& payload, MsgType* type) {
   std::uint16_t t = 0;
   DC_RET(r.U16(&t));
   if (t < static_cast<std::uint16_t>(MsgType::kHello) ||
-      t > static_cast<std::uint16_t>(MsgType::kDeltaBatch)) {
+      t > static_cast<std::uint16_t>(EnumMax(MsgType{}))) {
     return Status::ParseError("unknown message type");
   }
   *type = static_cast<MsgType>(t);
   return Status::OK();
 }
 
-Status Decode(const std::string& payload, HelloMsg* msg) {
+template <WireMessage Msg>
+Status Decode(const std::string& payload, Msg* msg) {
   WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kHello));
-  DC_RET(r.U32(&msg->node_id));
-  DC_RET(r.U32(&msg->num_nodes));
-  DC_RET(GetVec(r, &msg->baseline, kMinTermBytes));
-  return r.ExpectEnd();
-}
-
-Status Decode(const std::string& payload, ReportBatchMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kReportBatch));
-  DC_RET(r.I64(&msg->epoch));
-  DC_RET(GetVec(r, &msg->reports, kMinReportBytes));
-  return r.ExpectEnd();
-}
-
-Status Decode(const std::string& payload, EpochResultMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kEpochResult));
-  DC_RET(r.I64(&msg->epoch));
-  DC_RET(r.U64(&msg->dict_size_before));
-  DC_RET(GetVec(r, &msg->slots, kMinSlotBytes));
-  DC_RET(GetVec(r, &msg->triples, kMinTripleBytes));
-  DC_RET(GetVec(r, &msg->episodes, kMinEpisodeBytes));
-  DC_RET(GetVec(r, &msg->events, kMinEventBytes));
-  DC_RET(GetVec(r, &msg->sub_deltas, kMinSubDeltaBytes));
-  DC_RET(GetVec(r, &msg->tags, kMinTagBytes));
-  DC_RET(GetVec(r, &msg->node_geo, kMinNodeGeoBytes));
-  DC_RET(GetVec(r, &msg->sub_counts, kMinSubCountBytes));
-  DC_RET(GetVec(r, &msg->new_terms, kMinTermBytes));
-  return r.ExpectEnd();
-}
-
-Status Decode(const std::string& payload, WatermarkMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kWatermark));
-  DC_RET(r.I64(&msg->epoch));
-  return r.ExpectEnd();
-}
-
-Status Decode(const std::string& payload, FlushResultMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kFlushResult));
-  DC_RET(Get(r, &msg->flush));
-  return r.ExpectEnd();
-}
-
-Status Decode(const std::string& payload, MetricsResultMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kMetricsResult));
-  DC_RET(GetVec(r, &msg->rows, kMinRowBytes));
-  return r.ExpectEnd();
-}
-
-Status Decode(const std::string& payload, SubscribeMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kSubscribe));
-  DC_RET(r.U64(&msg->id));
-  DC_RET(r.U32(&msg->subscriber));
-  std::string predicate;
-  DC_RET(r.Str(&predicate));
-  DC_RET(r.ExpectEnd());
-  // Bound the nested payload before parsing any of it: an empty predicate
-  // is not a subscription, and an oversized one is corruption (or abuse),
-  // not a request.
-  if (predicate.empty()) {
-    return Status::ParseError("empty subscription predicate");
+  std::uint16_t type = 0;
+  DC_RET(r.U16(&type));
+  if (type != static_cast<std::uint16_t>(Msg::kType)) {
+    return Status::ParseError("unexpected message type");
   }
-  if (predicate.size() > kMaxSubPredicateBytes) {
-    return Status::ParseError("oversized subscription predicate");
-  }
-  WireReader pr(predicate);
-  DC_RET(Get(pr, &msg->spec));
-  DC_RET(pr.ExpectEnd());
-  return ValidateSpec(msg->spec);
-}
-
-Status Decode(const std::string& payload, UnsubscribeMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kUnsubscribe));
-  DC_RET(r.U64(&msg->id));
-  DC_RET(r.U32(&msg->subscriber));
+  Reader reader(r);
+  DC_RET(reader(*msg));
   return r.ExpectEnd();
 }
 
-Status Decode(const std::string& payload, SubAckMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kSubAck));
-  DC_RET(r.U64(&msg->id));
-  DC_RET(r.Bool(&msg->ok));
-  DC_RET(r.Str(&msg->error));
-  return r.ExpectEnd();
-}
+template std::string Encode(const HelloMsg&);
+template std::string Encode(const ReportBatchMsg&);
+template std::string Encode(const EpochResultMsg&);
+template std::string Encode(const WatermarkMsg&);
+template std::string Encode(const FlushResultMsg&);
+template std::string Encode(const MetricsResultMsg&);
+template std::string Encode(const SubscribeMsg&);
+template std::string Encode(const UnsubscribeMsg&);
+template std::string Encode(const SubAckMsg&);
+template std::string Encode(const DeltaBatchMsg&);
 
-Status Decode(const std::string& payload, DeltaBatchMsg* msg) {
-  WireReader r(payload);
-  DC_RET(OpenEnvelope(r, MsgType::kDeltaBatch));
-  DC_RET(r.U32(&msg->batch.subscriber));
-  DC_RET(r.I64(&msg->batch.epoch));
-  DC_RET(GetVec(r, &msg->batch.deltas, kMinSubDeltaBytes));
-  return r.ExpectEnd();
-}
+template Status Decode(const std::string&, HelloMsg*);
+template Status Decode(const std::string&, ReportBatchMsg*);
+template Status Decode(const std::string&, EpochResultMsg*);
+template Status Decode(const std::string&, WatermarkMsg*);
+template Status Decode(const std::string&, FlushResultMsg*);
+template Status Decode(const std::string&, MetricsResultMsg*);
+template Status Decode(const std::string&, SubscribeMsg*);
+template Status Decode(const std::string&, UnsubscribeMsg*);
+template Status Decode(const std::string&, SubAckMsg*);
+template Status Decode(const std::string&, DeltaBatchMsg*);
 
 #undef DC_RET
 

@@ -1,6 +1,7 @@
 #ifndef DATACRON_NET_CODEC_H_
 #define DATACRON_NET_CODEC_H_
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -13,10 +14,25 @@
 
 namespace datacron {
 
-/// Cluster protocol messages. Every payload is a u16 message type followed
-/// by the body, encoded with the wire primitives (net/wire.h). Decoders
-/// validate the type tag, every enum value, every sequence count, and that
-/// the body consumes the payload exactly; anything off returns ParseError.
+/// Cluster protocol messages. Every payload is a u16 message type (the
+/// message's `kType`) followed by the body, encoded with the wire
+/// primitives (net/wire.h). Decoders validate the type tag, every enum
+/// value, every bool, every sequence count, and that the body consumes the
+/// payload exactly; anything off returns ParseError.
+///
+/// Field lists. Every message below and every struct it carries has one
+/// field list in codec.cc: a `Fields` overload that names the members in
+/// wire order. One visitor walks a list over a WireWriter, the other over
+/// a WireReader, so encode and decode cannot disagree, and the per-element
+/// minimum that bounds a sequence count is the encoded size of a
+/// default-constructed element. To add a field, add the member to its
+/// struct and to that struct's `Fields` list; a member left out of the
+/// list does not travel. A new enum also declares its largest value
+/// (`EnumMax`), a new message its `kType`, its `Fields` list and its
+/// Encode/Decode instantiation, all in codec.cc. Two leaves are written
+/// by hand: OperatorMetrics (raw Welford state plus a sparse histogram)
+/// and SubscriptionSpec (a tagged union inside a nested, length-bounded
+/// payload).
 ///
 /// Flow (coordinator <-> node):
 ///
@@ -64,6 +80,8 @@ enum class MsgType : std::uint16_t {
 };
 
 struct HelloMsg {
+  static constexpr MsgType kType = MsgType::kHello;
+
   std::uint32_t node_id = 0;
   std::uint32_t num_nodes = 0;
   /// The node dictionary's contents at connect time (vocab terms interned
@@ -75,6 +93,8 @@ struct HelloMsg {
 };
 
 struct ReportBatchMsg {
+  static constexpr MsgType kType = MsgType::kReportBatch;
+
   std::int64_t epoch = 0;
   std::vector<PositionReport> reports;
 
@@ -90,6 +110,8 @@ struct ReportBatchMsg {
 /// codec checks structure only; the coordinator checks the watermarks and
 /// id ranges before absorbing anything.
 struct EpochResultMsg {
+  static constexpr MsgType kType = MsgType::kEpochResult;
+
   std::int64_t epoch = 0;
   /// Node dictionary size before the epoch's first report; the
   /// coordinator cross-checks it against its remap table to catch lost or
@@ -114,18 +136,24 @@ struct EpochResultMsg {
 /// Epoch-watermark control message: the node saw epoch `epoch` (an empty
 /// sub-batch) and the coordinator's barrier may advance past it.
 struct WatermarkMsg {
+  static constexpr MsgType kType = MsgType::kWatermark;
+
   std::int64_t epoch = 0;
 
   bool operator==(const WatermarkMsg&) const = default;
 };
 
 struct FlushResultMsg {
+  static constexpr MsgType kType = MsgType::kFlushResult;
+
   KeyedFlush flush;
 
   bool operator==(const FlushResultMsg&) const = default;
 };
 
 struct MetricsResultMsg {
+  static constexpr MsgType kType = MsgType::kMetricsResult;
+
   std::vector<MetricsRow> rows;
 
   bool operator==(const MetricsResultMsg&) const = default;
@@ -138,6 +166,8 @@ struct MetricsResultMsg {
 /// zero-length and larger-than-kMaxSubPredicateBytes payloads outright,
 /// and validates the decoded spec with ValidateSpec.
 struct SubscribeMsg {
+  static constexpr MsgType kType = MsgType::kSubscribe;
+
   SubscriptionId id = 0;
   SubscriberId subscriber = 0;
   SubscriptionSpec spec;
@@ -146,6 +176,8 @@ struct SubscribeMsg {
 };
 
 struct UnsubscribeMsg {
+  static constexpr MsgType kType = MsgType::kUnsubscribe;
+
   SubscriptionId id = 0;
   SubscriberId subscriber = 0;
 
@@ -155,6 +187,8 @@ struct UnsubscribeMsg {
 /// Reply to Subscribe/Unsubscribe: `id` echoes (or assigns) the
 /// subscription id; `ok` false carries a diagnostic in `error`.
 struct SubAckMsg {
+  static constexpr MsgType kType = MsgType::kSubAck;
+
   SubscriptionId id = 0;
   bool ok = true;
   std::string error;
@@ -164,23 +198,26 @@ struct SubAckMsg {
 
 /// One coalesced epoch of deltas for one subscriber.
 struct DeltaBatchMsg {
+  static constexpr MsgType kType = MsgType::kDeltaBatch;
+
   DeltaBatch batch;
 
   bool operator==(const DeltaBatchMsg&) const = default;
 };
 
+/// A cluster protocol message: one of the structs above, tagged with the
+/// MsgType its payload starts with.
+template <typename Msg>
+concept WireMessage = requires {
+  { Msg::kType } -> std::convertible_to<MsgType>;
+};
+
 /// --- encode -------------------------------------------------------------
 
-std::string Encode(const HelloMsg& msg);
-std::string Encode(const ReportBatchMsg& msg);
-std::string Encode(const EpochResultMsg& msg);
-std::string Encode(const WatermarkMsg& msg);
-std::string Encode(const FlushResultMsg& msg);
-std::string Encode(const MetricsResultMsg& msg);
-std::string Encode(const SubscribeMsg& msg);
-std::string Encode(const UnsubscribeMsg& msg);
-std::string Encode(const SubAckMsg& msg);
-std::string Encode(const DeltaBatchMsg& msg);
+/// The message's kType, then its field list. Instantiated in codec.cc for
+/// every message above.
+template <WireMessage Msg>
+std::string Encode(const Msg& msg);
 /// kFlushRequest, kMetricsRequest, kShutdown: type tag only.
 std::string EncodeControl(MsgType type);
 
@@ -189,16 +226,9 @@ std::string EncodeControl(MsgType type);
 /// Peeks the envelope's message type without consuming the body.
 Status DecodeType(const std::string& payload, MsgType* type);
 
-Status Decode(const std::string& payload, HelloMsg* msg);
-Status Decode(const std::string& payload, ReportBatchMsg* msg);
-Status Decode(const std::string& payload, EpochResultMsg* msg);
-Status Decode(const std::string& payload, WatermarkMsg* msg);
-Status Decode(const std::string& payload, FlushResultMsg* msg);
-Status Decode(const std::string& payload, MetricsResultMsg* msg);
-Status Decode(const std::string& payload, SubscribeMsg* msg);
-Status Decode(const std::string& payload, UnsubscribeMsg* msg);
-Status Decode(const std::string& payload, SubAckMsg* msg);
-Status Decode(const std::string& payload, DeltaBatchMsg* msg);
+/// OK only if `payload` is exactly one Msg: its kType, then its field list.
+template <WireMessage Msg>
+Status Decode(const std::string& payload, Msg* msg);
 
 }  // namespace datacron
 
