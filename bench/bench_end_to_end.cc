@@ -2,9 +2,11 @@
 // requirements (i.e. in ms)" claim of Section 4.
 //
 // Runs the full DatacronEngine (synopses -> transform -> trajectory ->
-// CEP) over a fleet stream and prints the per-stage and total per-tuple
-// latency distribution, plus sustained throughput, then closes the loop
-// with a query over the produced store.
+// CEP) over a fleet stream and prints the per-stage latency distribution
+// (the engine's engine.*_ns histograms) and the exact per-Ingest-call
+// total, plus sustained throughput, then closes the loop with a query
+// over the produced store. BENCH_engine_metrics.json holds the serial,
+// 8-shard and 4-node fleet metrics snapshots.
 //
 // E10b sweeps the sharded runtime (IngestBatch) over 1/2/4/8 shards with
 // a matching thread pool, enforcing the determinism contract — events,
@@ -45,10 +47,10 @@
 namespace datacron {
 namespace {
 
-void PrintStage(const char* name, const PercentileTracker& t) {
-  std::printf("  %-14s p50 %8.4f ms   p95 %8.4f ms   p99 %8.4f ms   max "
-              "%8.3f ms\n",
-              name, t.p50(), t.p95(), t.p99(), t.Max());
+/// One stage row from the engine snapshot's log2-bucketed histogram (ns).
+void PrintStage(const char* name, const LogHistogram& h) {
+  std::printf("  %-14s p50 %8.4f ms   p99 %8.4f ms   (log2 buckets)\n", name,
+              h.p50() / 1e6, h.p99() / 1e6);
 }
 
 DatacronEngine::Config EngineConfig(std::size_t num_shards) {
@@ -159,8 +161,9 @@ void WriteClusterJson(const char* path, std::size_t reports) {
 }
 
 /// Accumulated "name": {snapshot} pairs for BENCH_engine_metrics.json.
-/// Each phase folds its engine-local snapshot with a checkpoint of the
-/// process-wide registry (registry counters are cumulative across phases).
+/// Each phase folds its engine (or fleet) snapshot with a checkpoint of
+/// the process-wide registry; the two share no names, and registry
+/// counters are cumulative across phases.
 std::string g_metrics_phases;
 
 void AddMetricsPhase(const char* name, obs::MetricsSnapshot snap) {
@@ -245,8 +248,9 @@ void WriteMetricsJson(const char* path) {
   if (f == nullptr) return;
   std::fprintf(f,
                "{\n  \"experiment\": \"E10_metrics\",\n"
-               "  \"note\": \"registry counters are cumulative process "
-               "checkpoints; engine.* rows are per-phase instances\",\n"
+               "  \"note\": \"process-wide registry instruments are "
+               "cumulative checkpoints; the engine snapshot's operator "
+               "rows, totals and stage histograms are per phase\",\n"
                "  \"phases\": {\n%s\n  }\n}\n",
                g_metrics_phases.c_str());
   std::fclose(f);
@@ -432,10 +436,13 @@ int Run(bool quick, const char* trace_out) {
 
   // --- E10: serial per-tuple latency (the baseline). -----------------
   DatacronEngine engine(EngineConfig(1));
+  PercentileTracker ingest_ms;  // exact: one sample per Ingest call
   Stopwatch total_timer;
   std::vector<Event> serial_events;
   for (const auto& r : stream) {
+    const std::int64_t t0 = MonotonicNanos();
     const auto evs = engine.Ingest(r);
+    ingest_ms.Add((MonotonicNanos() - t0) / 1e6);
     serial_events.insert(serial_events.end(), evs.begin(), evs.end());
   }
   const auto final_events = engine.Finish();
@@ -451,18 +458,21 @@ int Run(bool quick, const char* trace_out) {
               engine.critical_points(), engine.triples().size(),
               quick ? ", quick" : "");
 
-  const auto& lat = engine.latencies();
-  PrintStage("synopses", lat.synopses_ms);
-  PrintStage("transform", lat.transform_ms);
-  PrintStage("trajectory", lat.trajectory_ms);
-  PrintStage("cep", lat.cep_ms);
-  PrintStage("TOTAL", lat.total_ms);
+  obs::MetricsSnapshot serial_metrics = engine.MetricsSnapshot();
+  PrintStage("synopses", serial_metrics.histograms["engine.synopses_ns"]);
+  PrintStage("transform", serial_metrics.histograms["engine.transform_ns"]);
+  PrintStage("trajectory", serial_metrics.histograms["engine.trajectory_ns"]);
+  PrintStage("cep", serial_metrics.histograms["engine.cep_ns"]);
+  std::printf("  %-14s p50 %8.4f ms   p95 %8.4f ms   p99 %8.4f ms   max "
+              "%8.3f ms   (each Ingest call)\n",
+              "TOTAL", ingest_ms.p50(), ingest_ms.p95(), ingest_ms.p99(),
+              ingest_ms.Max());
   std::printf("\n  sustained throughput: %.0f reports/s (%.2f s wall for "
               "%lld min of simulated traffic => %.0fx real time)\n",
               stream.size() / serial_s, serial_s,
               static_cast<long long>(fleet.duration / kMinute),
               (fleet.duration / 1000.0) / serial_s);
-  AddMetricsPhase("serial", engine.MetricsSnapshot());
+  AddMetricsPhase("serial", std::move(serial_metrics));
 
   // --- Tracing overhead: the same serial loop with spans recording. ---
   // Everything below runs traced; the trace (if requested) covers the
@@ -546,8 +556,8 @@ int Run(bool quick, const char* trace_out) {
     if (shards == 8) {
       std::printf("\n  per-operator metrics (8 shards, keyed rows merged "
                   "across shards):\n");
-      std::printf("%s", sharded.MetricsReport().c_str());
       obs::MetricsSnapshot snap = sharded.MetricsSnapshot();
+      std::printf("%s", RenderMetricsReport(snap).c_str());
       snap.AddHistogram("pool.queue_ns", pool.QueueWaitNanos());
       AddMetricsPhase("sharded_8", std::move(snap));
     }
@@ -606,12 +616,17 @@ int Run(bool quick, const char* trace_out) {
                 stream.size() / wall_s, serial_s / wall_s,
                 identical ? "yes" : "NO");
     if (nodes == 4) {
-      std::printf("\n  fleet metrics (4 nodes, keyed rows merged across the "
-                  "transport):\n");
-      Result<std::string> report = cluster.value()->engine().MetricsReport();
-      if (report.ok()) std::printf("%s", report.value().c_str());
-      AddMetricsPhase("cluster_4",
-                      cluster.value()->engine().engine().MetricsSnapshot());
+      std::printf("\n  fleet metrics (4 nodes, node snapshots merged "
+                  "into the coordinator's):\n");
+      Result<obs::MetricsSnapshot> fleet =
+          cluster.value()->engine().MetricsSnapshot();
+      if (!fleet.ok()) {
+        std::fprintf(stderr, "fleet metrics failed: %s\n",
+                     fleet.status().ToString().c_str());
+        return 1;
+      }
+      std::printf("%s", RenderMetricsReport(fleet.value()).c_str());
+      AddMetricsPhase("cluster_4", std::move(fleet).value());
     }
     const Status stop = cluster.value()->Stop();
     if (!stop.ok()) {

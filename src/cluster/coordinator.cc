@@ -336,43 +336,29 @@ Result<std::vector<Event>> ClusterEngine::Finish() {
   return local_.FinishFromFlushes(flushes);
 }
 
-Result<std::string> ClusterEngine::MetricsReport() {
+Result<obs::MetricsSnapshot> ClusterEngine::MetricsSnapshot() {
   if (Status s = Connect(); !s.ok()) return s;
-  const std::size_t n_nodes = nodes_.size();
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    if (Status s = nodes_[n]->Send(EncodeControl(MsgType::kMetricsRequest));
+  for (const std::unique_ptr<Transport>& node : nodes_) {
+    if (Status s = node->Send(EncodeControl(MsgType::kMetricsRequest));
         !s.ok()) {
       return s;
     }
   }
-  // Fold rows across nodes by (stage, operator); node 0's row order is
-  // the serial engine's, so the fleet table reads the same.
-  std::vector<MetricsRow> merged;
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    Result<std::string> payload = nodes_[n]->Recv();
+  obs::MetricsSnapshot fleet = local_.MetricsSnapshot();
+  for (const std::unique_ptr<Transport>& node : nodes_) {
+    Result<std::string> payload = node->Recv();
     if (!payload.ok()) return payload.status();
     MetricsResultMsg msg;
     if (Status s = Decode(payload.value(), &msg); !s.ok()) return s;
-    for (MetricsRow& row : msg.rows) {
-      MetricsRow* match = nullptr;
-      for (MetricsRow& m : merged) {
-        if (m.stage == row.stage && m.metrics.name == row.metrics.name) {
-          match = &m;
-          break;
-        }
-      }
-      if (match == nullptr) {
-        merged.push_back(std::move(row));
-      } else {
-        match->metrics.Merge(row.metrics);
-        match->instances += row.instances;
-      }
-    }
+    fleet.Merge(msg.snapshot);
   }
-  for (MetricsRow& row : local_.GlobalMetricsRows()) {
-    merged.push_back(std::move(row));
-  }
-  return DatacronEngine::RenderMetricsTable(merged);
+  return fleet;
+}
+
+Result<std::string> ClusterEngine::MetricsReport() {
+  Result<obs::MetricsSnapshot> fleet = MetricsSnapshot();
+  if (!fleet.ok()) return fleet.status();
+  return RenderMetricsReport(fleet.value());
 }
 
 Status ClusterEngine::Shutdown() {

@@ -110,9 +110,13 @@ class ClusterEngine {
   /// merge — the distributed form of DatacronEngine::Finish().
   Result<std::vector<Event>> Finish();
 
-  /// Fleet-wide observability table: per-node keyed operator rows merged
-  /// by (stage, operator) across nodes, plus the coordinator's global
-  /// rows, in DatacronEngine::MetricsReport's format.
+  /// The fleet's metrics: every node engine's MetricsSnapshot (its keyed
+  /// operators) merged into the coordinator engine's own (global
+  /// operators, stage histograms, totals, admission). Counters therefore
+  /// equal a serial engine's over the same stream.
+  Result<obs::MetricsSnapshot> MetricsSnapshot();
+
+  /// RenderMetricsReport of the fleet snapshot.
   Result<std::string> MetricsReport();
 
   /// Tells every node to exit its serve loop and closes the transports.
@@ -121,8 +125,8 @@ class ClusterEngine {
   std::size_t num_nodes() const { return nodes_.size(); }
 
   /// The coordinator-side engine holding the merged global state: its
-  /// triples(), episodes(), trajectories(), dictionary contents and
-  /// latency trackers are the cluster's output.
+  /// triples(), episodes(), trajectories() and dictionary contents are
+  /// the cluster's output.
   const DatacronEngine& engine() const { return local_; }
 
  private:

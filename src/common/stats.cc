@@ -33,18 +33,6 @@ void RunningStats::Merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-RunningStats RunningStats::FromRaw(std::size_t count, double mean, double m2,
-                                   double min, double max) {
-  RunningStats s;
-  if (count == 0) return s;
-  s.count_ = count;
-  s.mean_ = mean;
-  s.m2_ = m2;
-  s.min_ = min;
-  s.max_ = max;
-  return s;
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 std::string RunningStats::ToString() const {

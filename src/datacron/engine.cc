@@ -27,21 +27,10 @@ static_assert(HotspotDetector::kStage == StageKind::kGlobal);
 
 DatacronEngine::DatacronEngine(Config config)
     : config_(std::move(config)),
-      reports_counter_(
-          obs::MetricsRegistry::Global().counter("engine.reports")),
-      cp_counter_(
-          obs::MetricsRegistry::Global().counter("engine.critical_points")),
       merge_terms_counter_(
           obs::MetricsRegistry::Global().counter("engine.merge_terms")),
       merge_terms_hist_(obs::MetricsRegistry::Global().histogram(
           "engine.merge_terms_per_epoch")),
-      synopses_hist_(
-          obs::MetricsRegistry::Global().histogram("engine.synopses_ns")),
-      transform_hist_(
-          obs::MetricsRegistry::Global().histogram("engine.transform_ns")),
-      trajectory_hist_(
-          obs::MetricsRegistry::Global().histogram("engine.trajectory_ns")),
-      cep_hist_(obs::MetricsRegistry::Global().histogram("engine.cep_ns")),
       vocab_(std::make_unique<Vocab>(&dict_)),
       rdfizer_(std::make_unique<Rdfizer>(config_.rdf, &dict_, vocab_.get())),
       proximity_(config_.proximity) {
@@ -206,27 +195,6 @@ std::span<std::vector<TermId>> DatacronEngine::FreshRemaps(std::size_t n) {
   return epoch_remaps_;
 }
 
-void DatacronEngine::RecordReportLatencies(std::int64_t synopses_ns,
-                                           std::int64_t transform_ns,
-                                           std::int64_t keyed_cep_ns,
-                                           std::int64_t trajectory_ns,
-                                           std::int64_t global_cep_ns) {
-  latencies_.synopses_ms.Add(synopses_ns / 1e6);
-  latencies_.transform_ms.Add(transform_ns / 1e6);
-  latencies_.trajectory_ms.Add(trajectory_ns / 1e6);
-  latencies_.cep_ms.Add((keyed_cep_ns + global_cep_ns) / 1e6);
-  latencies_.total_ms.Add((synopses_ns + transform_ns + keyed_cep_ns +
-                           trajectory_ns + global_cep_ns) /
-                          1e6);
-
-  // Always-on per-stage epoch timeline in the unified registry; two
-  // relaxed adds per stage per report.
-  synopses_hist_->Observe(static_cast<double>(synopses_ns));
-  transform_hist_->Observe(static_cast<double>(transform_ns));
-  trajectory_hist_->Observe(static_cast<double>(trajectory_ns));
-  cep_hist_->Observe(static_cast<double>(keyed_cep_ns + global_cep_ns));
-}
-
 void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
                                  std::span<ShardSlot> slots,
                                  std::span<EpochArena> arenas,
@@ -309,7 +277,7 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
     prox_ns = MonotonicNanos() - b0;
   }
   // The batch cost is attributed evenly across the epoch's reports in
-  // the per-report latency trackers.
+  // the per-report stage histograms.
   const std::int64_t prox_share_ns =
       items.empty() ? 0
                     : prox_ns / static_cast<std::int64_t>(items.size());
@@ -326,8 +294,6 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
     ArenaCursor& cur = absorb_cursors_[slot.arena];
     ++reports_ingested_;
     critical_points_ += slot.cp_count;
-    reports_counter_->Add();
-    cp_counter_->Add(slot.cp_count);
 
     const std::int64_t t0 = MonotonicNanos();
     triples_.insert(triples_.end(), a.triples.begin() + cur.triples,
@@ -362,9 +328,13 @@ void DatacronEngine::AbsorbEpoch(std::span<const PositionReport> items,
     }
     const std::int64_t t2 = MonotonicNanos();
 
-    RecordReportLatencies(slot.synopses_ns, slot.transform_ns,
-                          slot.keyed_cep_ns, t1 - t0,
-                          (t2 - t1) + prox_share_ns);
+    const std::int64_t cep_ns = slot.keyed_cep_ns + (t2 - t1) + prox_share_ns;
+    synopses_ns_.Add(static_cast<double>(slot.synopses_ns));
+    transform_ns_.Add(static_cast<double>(slot.transform_ns));
+    trajectory_ns_.Add(static_cast<double>(t1 - t0));
+    cep_ns_.Add(static_cast<double>(cep_ns));
+    total_ns_.Add(static_cast<double>(slot.synopses_ns + slot.transform_ns +
+                                      (t1 - t0) + cep_ns));
   }
 
   // Hotspot counts are summed (order-independent), so the per-arena maps
@@ -571,106 +541,130 @@ TripleStore DatacronEngine::BuildStore(ThreadPool* pool) const {
   return store;
 }
 
-std::vector<MetricsRow> DatacronEngine::KeyedMetricsRows() const {
-  std::vector<MetricsRow> rows;
-  const auto merged = [this](auto member) {
-    OperatorMetrics m;
-    for (const Shard& s : shards_) m.Merge((s.*member).metrics());
-    return m;
-  };
-  const std::size_t n = shards_.size();
-  rows.push_back({"synopses", merged(&Shard::detector), n});
-  rows.push_back({"cep-keyed", merged(&Shard::area_events), n});
-  rows.push_back({"cep-keyed", merged(&Shard::loitering), n});
-  rows.push_back({"cep-keyed", merged(&Shard::gap), n});
-  rows.push_back({"cep-keyed", merged(&Shard::speed_anomaly), n});
-  return rows;
-}
-
-std::vector<MetricsRow> DatacronEngine::GlobalMetricsRows() const {
-  std::vector<MetricsRow> rows;
-  rows.push_back({"cep-global", proximity_.metrics(), 1});
-  if (capacity_ != nullptr) {
-    rows.push_back({"cep-global", capacity_->metrics(), 1});
-  }
-  if (hotspots_ != nullptr) {
-    rows.push_back({"cep-global", hotspots_->metrics(), 1});
-  }
-  return rows;
-}
-
-std::string DatacronEngine::RenderMetricsTable(
-    std::span<const MetricsRow> rows) {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "%-10s %-24s %6s %10s %10s %7s %10s %10s\n", "stage",
-                "operator", "shards", "items_in", "items_out", "sel%",
-                "p50_ns", "p99_ns");
-  out += line;
-  for (const MetricsRow& r : rows) {
-    std::snprintf(line, sizeof(line),
-                  "%-10s %-24s %6zu %10zu %10zu %6.1f%% %10.0f %10.0f\n",
-                  r.stage.c_str(), r.metrics.name.c_str(), r.instances,
-                  r.metrics.items_in, r.metrics.items_out,
-                  r.metrics.SelectivityPct(), r.metrics.latency_ns.p50(),
-                  r.metrics.latency_ns.p99());
-    out += line;
-  }
-  return out;
-}
-
-std::string DatacronEngine::MetricsReport() const {
-  std::vector<MetricsRow> rows = KeyedMetricsRows();
-  std::vector<MetricsRow> global = GlobalMetricsRows();
-  rows.insert(rows.end(), std::make_move_iterator(global.begin()),
-              std::make_move_iterator(global.end()));
-  std::string out = RenderMetricsTable(rows);
-  // A lossy admission policy is part of the engine's observable contract,
-  // so the report names it even before anything was shed.
-  if (admission_dropped_ > 0 ||
-      config_.admission != AdmissionPolicy::kBlock) {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "admission: policy=%s dropped=%zu entities_hit=%zu\n",
-                  AdmissionPolicyName(config_.admission),
-                  admission_dropped_, admission_drops_.size());
-    out += line;
-    // Worst offenders first so the report names who was shed.
-    std::vector<std::pair<std::uint64_t, std::size_t>> by_count =
-        admission_drops_;
-    std::stable_sort(by_count.begin(), by_count.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.second > b.second;
-                     });
-    const std::size_t shown = std::min<std::size_t>(by_count.size(), 8);
-    for (std::size_t i = 0; i < shown; ++i) {
-      std::snprintf(line, sizeof(line),
-                    "  entity %llu: %zu dropped\n",
-                    static_cast<unsigned long long>(by_count[i].first),
-                    by_count[i].second);
-      out += line;
-    }
-  }
-  return out;
-}
-
 obs::MetricsSnapshot DatacronEngine::MetricsSnapshot() const {
   obs::MetricsSnapshot snap;
-  std::vector<MetricsRow> rows = KeyedMetricsRows();
-  std::vector<MetricsRow> global = GlobalMetricsRows();
-  rows.insert(rows.end(), std::make_move_iterator(global.begin()),
-              std::make_move_iterator(global.end()));
-  for (const MetricsRow& r : rows) {
-    obs::AddOperatorMetrics("engine." + r.stage + "." + r.metrics.name,
-                            r.metrics, &snap);
+  const auto add = [&snap](const char* stage, const OperatorMetrics& m) {
+    obs::AddOperatorMetrics(std::string("engine.") + stage + "." + m.name, m,
+                            &snap);
+  };
+  // Per-shard instances of a keyed operator share a name, so adding each
+  // merges them.
+  for (const Shard& s : shards_) {
+    add("synopses", s.detector.metrics());
+    add("cep-keyed", s.area_events.metrics());
+    add("cep-keyed", s.loitering.metrics());
+    add("cep-keyed", s.gap.metrics());
+    add("cep-keyed", s.speed_anomaly.metrics());
   }
+  add("cep-global", proximity_.metrics());
+  if (capacity_ != nullptr) add("cep-global", capacity_->metrics());
+  if (hotspots_ != nullptr) add("cep-global", hotspots_->metrics());
+
+  snap.AddHistogram("engine.synopses_ns", synopses_ns_);
+  snap.AddHistogram("engine.transform_ns", transform_ns_);
+  snap.AddHistogram("engine.trajectory_ns", trajectory_ns_);
+  snap.AddHistogram("engine.cep_ns", cep_ns_);
+  snap.AddHistogram("engine.total_ns", total_ns_);
   snap.AddCounter("engine.reports", reports_ingested_);
   snap.AddCounter("engine.critical_points", critical_points_);
   snap.AddCounter("engine.triples", triples_.size());
   snap.AddCounter("engine.episodes", episodes_.size());
-  snap.AddCounter("admission.dropped", admission_dropped_);
+
+  snap.AddGauge("engine.admission.policy",
+                static_cast<std::int64_t>(config_.admission));
+  snap.AddCounter("engine.admission.dropped", admission_dropped_);
+  for (const auto& [entity, dropped] : admission_drops_) {
+    snap.AddCounter("engine.admission.dropped." + std::to_string(entity),
+                    dropped);
+  }
   return snap;
+}
+
+std::string DatacronEngine::MetricsReport() const {
+  return RenderMetricsReport(MetricsSnapshot());
+}
+
+std::string RenderMetricsReport(const obs::MetricsSnapshot& snap) {
+  std::string out;
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "%-10s %-24s %10s %10s %7s %10s %10s %6s\n", "stage",
+                "operator", "items_in", "items_out", "sel%", "p50_ns",
+                "p99_ns", "per");
+  out += line;
+  const auto counter = [&snap](const std::string& name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  constexpr std::string_view kEngine = "engine.";
+  constexpr std::string_view kItemsIn = ".items_in";
+  for (const auto& [name, items_in] : snap.counters) {
+    // Operator rows are "engine.<stage>.<operator>.items_in".
+    if (!name.starts_with(kEngine) || !name.ends_with(kItemsIn)) continue;
+    const std::string prefix = name.substr(0, name.size() - kItemsIn.size());
+    const std::size_t dot = prefix.find('.', kEngine.size());
+    if (dot == std::string::npos) continue;
+    const std::string stage =
+        prefix.substr(kEngine.size(), dot - kEngine.size());
+    const std::string op = prefix.substr(dot + 1);
+    const std::uint64_t items_out = counter(prefix + ".items_out");
+    const LogHistogram* latency = nullptr;
+    const char* unit = "-";
+    for (const auto& [suffix, label] : {std::pair{".process_ns", "report"},
+                                        std::pair{".epoch_ns", "epoch"}}) {
+      const auto it = snap.histograms.find(prefix + suffix);
+      if (it != snap.histograms.end()) {
+        latency = &it->second;
+        unit = label;
+        break;
+      }
+    }
+    std::snprintf(
+        line, sizeof(line),
+        "%-10s %-24s %10llu %10llu %6.1f%% %10.0f %10.0f %6s\n",
+        stage.c_str(), op.c_str(), static_cast<unsigned long long>(items_in),
+        static_cast<unsigned long long>(items_out),
+        items_in == 0 ? 0.0 : 100.0 * items_out / items_in,
+        latency == nullptr ? 0.0 : latency->p50(),
+        latency == nullptr ? 0.0 : latency->p99(), unit);
+    out += line;
+  }
+
+  // A lossy admission policy is part of the engine's observable contract,
+  // so the report names it even before anything was shed.
+  const std::string dropped_name = "engine.admission.dropped";
+  const auto policy_it = snap.gauges.find("engine.admission.policy");
+  const auto policy = static_cast<AdmissionPolicy>(
+      policy_it == snap.gauges.end() ? 0 : policy_it->second);
+  const std::uint64_t dropped = counter(dropped_name);
+  if (dropped == 0 && policy == AdmissionPolicy::kBlock) return out;
+  // Per-entity counters sort right after the total.
+  std::vector<std::pair<std::string, std::uint64_t>> by_entity;
+  const std::string entity_prefix = dropped_name + ".";
+  for (auto it = snap.counters.lower_bound(entity_prefix);
+       it != snap.counters.end() && it->first.starts_with(entity_prefix);
+       ++it) {
+    by_entity.emplace_back(it->first.substr(entity_prefix.size()),
+                           it->second);
+  }
+  std::snprintf(line, sizeof(line),
+                "admission: policy=%s dropped=%llu entities_hit=%zu\n",
+                AdmissionPolicyName(policy),
+                static_cast<unsigned long long>(dropped), by_entity.size());
+  out += line;
+  // Worst offenders first so the report names who was shed.
+  std::stable_sort(by_entity.begin(), by_entity.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second > b.second;
+                   });
+  const std::size_t shown = std::min<std::size_t>(by_entity.size(), 8);
+  for (std::size_t i = 0; i < shown; ++i) {
+    std::snprintf(line, sizeof(line), "  entity %s: %llu dropped\n",
+                  by_entity[i].first.c_str(),
+                  static_cast<unsigned long long>(by_entity[i].second));
+    out += line;
+  }
+  return out;
 }
 
 std::unique_ptr<AdmissionQueue<PositionReport>>

@@ -64,17 +64,6 @@ struct KeyedFlush {
   bool operator==(const KeyedFlush&) const = default;
 };
 
-/// One row of the per-stage observability table; keyed rows merge across
-/// shards (and, in a cluster, across nodes).
-struct MetricsRow {
-  std::string stage;
-  OperatorMetrics metrics;
-  /// Shard/node instances folded into `metrics`.
-  std::size_t instances = 1;
-
-  bool operator==(const MetricsRow&) const = default;
-};
-
 /// The overall datAcron architecture (paper Section 2) as one object:
 ///
 ///   data sources -> in-situ processing (synopses) -> data transformation
@@ -83,7 +72,8 @@ struct MetricsRow {
 ///
 /// Ingest() pushes one report through every stage and accounts wall time
 /// per stage — the "operational latency in ms" requirement of Section 4
-/// is validated by E10 over these trackers.
+/// is validated by E10 over the engine.*_ns histograms of
+/// MetricsSnapshot().
 ///
 /// The engine is key-partitioned: every per-entity ("keyed") operator —
 /// synopses, keyed CEP detectors, episode building, per-entity RDF
@@ -325,44 +315,32 @@ class DatacronEngine {
   /// forecaster; heavier predictors are offline-trained, see forecast/).
   const DeadReckoningPredictor& predictor() const { return predictor_; }
 
-  // -- per-stage ms latency -------------------------------------------
-
-  struct StageLatencies {
-    PercentileTracker synopses_ms;
-    PercentileTracker transform_ms;
-    PercentileTracker cep_ms;
-    PercentileTracker trajectory_ms;
-    PercentileTracker total_ms;
-  };
-  const StageLatencies& latencies() const { return latencies_; }
+  // -- observability -------------------------------------------------
 
   std::size_t reports_ingested() const { return reports_ingested_; }
   std::size_t critical_points() const { return critical_points_; }
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// Formatted per-stage, per-detector observability table: items in/out,
-  /// selectivity and p50/p99 process nanos. Keyed operators report their
-  /// per-shard metrics merged via OperatorMetrics::Merge. When reports
-  /// were shed by a kDropOldest admission queue (IngestFromQueue), an
-  /// admission section lists total and per-entity drop counts.
-  std::string MetricsReport() const;
-
-  /// The unified observability snapshot: every operator row folded in as
-  /// "engine.<stage>.<operator>.*" counters/histograms, per-stage latency
-  /// histograms, report/critical-point totals and admission drops — one
-  /// mergeable object in the src/obs registry format.
+  /// This engine's metrics, and nothing else's (the process-wide
+  /// registry is not folded in):
+  ///  - per operator, "engine.<stage>.<operator>.items_in/items_out"
+  ///    counters and a latency histogram, "process_ns" (one sample per
+  ///    report) or "epoch_ns" (one per epoch batch); keyed operators are
+  ///    merged across shards;
+  ///  - per report, the stage histograms "engine.synopses_ns",
+  ///    "engine.transform_ns", "engine.trajectory_ns", "engine.cep_ns"
+  ///    and "engine.total_ns";
+  ///  - the totals "engine.reports", "engine.critical_points",
+  ///    "engine.triples" and "engine.episodes";
+  ///  - admission shedding: "engine.admission.policy" (gauge),
+  ///    "engine.admission.dropped" and one
+  ///    "engine.admission.dropped.<entity>" counter per entity shed.
+  /// Snapshots of several engines (a cluster's nodes and coordinator)
+  /// merge with obs::MetricsSnapshot::Merge.
   obs::MetricsSnapshot MetricsSnapshot() const;
 
-  /// The keyed (entity-partitioned) rows of MetricsReport, merged across
-  /// local shards. Cluster nodes ship these to the coordinator, which
-  /// folds them across nodes into one fleet-wide table.
-  std::vector<MetricsRow> KeyedMetricsRows() const;
-
-  /// The global (cross-entity) rows: proximity, capacity, hotspot.
-  std::vector<MetricsRow> GlobalMetricsRows() const;
-
-  /// Renders rows in MetricsReport's table format.
-  static std::string RenderMetricsTable(std::span<const MetricsRow> rows);
+  /// RenderMetricsReport(MetricsSnapshot()).
+  std::string MetricsReport() const;
 
  private:
   /// All keyed (entity-partitioned) state. Each entity is owned by
@@ -403,30 +381,15 @@ class DatacronEngine {
   void ProcessKeyedArena(std::size_t shard, const PositionReport& report,
                          ShardSlot* slot, EpochArena* arena, bool use_batch);
 
-  /// Folds one report's stage timings into the percentile trackers and
-  /// the always-on registry histograms.
-  void RecordReportLatencies(std::int64_t synopses_ns,
-                             std::int64_t transform_ns,
-                             std::int64_t keyed_cep_ns,
-                             std::int64_t trajectory_ns,
-                             std::int64_t global_cep_ns);
-
   /// epoch_remaps_ resized to `n` empty tables: the in-process remaps.
   std::span<std::vector<TermId>> FreshRemaps(std::size_t n);
 
   Config config_;
   TermDictionary dict_;
-  /// Registry instruments for the per-report and per-epoch global-stage
-  /// hot paths, resolved once at construction (no static-guard check per
-  /// report).
-  obs::Counter* reports_counter_;
-  obs::Counter* cp_counter_;
+  /// Registry instruments for the per-epoch term merge, resolved once at
+  /// construction (no static-guard check per epoch).
   obs::Counter* merge_terms_counter_;
   obs::AtomicLogHistogram* merge_terms_hist_;
-  obs::AtomicLogHistogram* synopses_hist_;
-  obs::AtomicLogHistogram* transform_hist_;
-  obs::AtomicLogHistogram* trajectory_hist_;
-  obs::AtomicLogHistogram* cep_hist_;
   std::unique_ptr<Vocab> vocab_;
   std::unique_ptr<Rdfizer> rdfizer_;
   std::vector<Shard> shards_;
@@ -441,7 +404,12 @@ class DatacronEngine {
   TrajectoryStore trajectories_;
   DeadReckoningPredictor predictor_;
   std::vector<Triple> triples_;
-  StageLatencies latencies_;
+  /// Per-report stage latencies, one sample per report each.
+  LogHistogram synopses_ns_;
+  LogHistogram transform_ns_;
+  LogHistogram trajectory_ns_;
+  LogHistogram cep_ns_;
+  LogHistogram total_ns_;
   std::size_t reports_ingested_ = 0;
   std::size_t critical_points_ = 0;
   /// AbsorbEpoch scratch for the epoch-batched proximity stage, reused
@@ -468,6 +436,14 @@ class DatacronEngine {
   std::size_t admission_dropped_ = 0;
   std::vector<std::pair<std::uint64_t, std::size_t>> admission_drops_;
 };
+
+/// The stage/operator table of an engine or fleet snapshot: one row per
+/// "engine.<stage>.<operator>" operator with items in/out, selectivity
+/// and p50/p99 latency, labelled with the latency's unit ("report" for
+/// process_ns, "epoch" for epoch_ns). An admission section follows when
+/// reports were shed or the policy is lossy: policy, total, entities hit
+/// and the worst-hit entities.
+std::string RenderMetricsReport(const obs::MetricsSnapshot& snap);
 
 }  // namespace datacron
 

@@ -128,8 +128,8 @@ auto Fields(T& f) {
                   f.trailing_episodes, f.events);
 }
 
-template <Is<MetricsRow> T>
-auto Fields(T& row) { return std::tie(row.stage, row.metrics, row.instances); }
+template <Is<obs::MetricsSnapshot> T>
+auto Fields(T& s) { return std::tie(s.counters, s.gauges, s.histograms); }
 
 template <Is<GeofenceSpec> T>
 auto Fields(T& g) {
@@ -167,7 +167,7 @@ template <Is<FlushResultMsg> T>
 auto Fields(T& m) { return std::tie(m.flush); }
 
 template <Is<MetricsResultMsg> T>
-auto Fields(T& m) { return std::tie(m.rows); }
+auto Fields(T& m) { return std::tie(m.snapshot); }
 
 template <Is<SubscribeMsg> T>
 auto Fields(T& m) { return std::tie(m.id, m.subscriber, m.spec); }
@@ -187,7 +187,7 @@ concept HasFields = requires(T& x) { Fields(x); };
 template <typename T>
 concept WireEnum = std::is_enum_v<T> && sizeof(T) == 1;
 
-/// OperatorMetrics' nonzero histogram buckets: (index, count).
+/// A LogHistogram's nonzero buckets: (index, count).
 using HistogramBuckets = std::vector<std::pair<std::uint8_t, std::uint64_t>>;
 
 // --- visitors ------------------------------------------------------------
@@ -232,7 +232,7 @@ class Writer {
     std::apply([this](const auto&... f) { All(f...); }, Fields(x));
   }
 
-  void operator()(const OperatorMetrics& m);
+  void operator()(const LogHistogram& h);
   void operator()(const SubscriptionSpec& spec);
 
  private:
@@ -312,7 +312,7 @@ class Reader {
     return std::apply([this](auto&... f) { return All(f...); }, Fields(x));
   }
 
-  Status operator()(OperatorMetrics& m);
+  Status operator()(LogHistogram& h);
   Status operator()(SubscriptionSpec& spec);
 
  private:
@@ -338,37 +338,28 @@ class Reader {
 
 // --- hand-written leaves -------------------------------------------------
 
-/// OperatorMetrics ships its mergeable raw state: the Welford accumulator
-/// fields and the nonzero histogram buckets (sparse — most of the 64 log2
-/// buckets are empty for any real latency distribution).
-void Writer::operator()(const OperatorMetrics& m) {
+/// A LogHistogram ships its nonzero buckets in index order (sparse — most
+/// of the 64 log2 buckets are empty for any real latency distribution);
+/// rebuilt through AddBucketCount, it merges exactly like the original.
+void Writer::operator()(const LogHistogram& h) {
   HistogramBuckets buckets;
   for (std::size_t b = 0; b < LogHistogram::num_buckets(); ++b) {
-    if (const std::size_t c = m.latency_ns.bucket_count(b); c != 0) {
+    if (const std::size_t c = h.bucket_count(b); c != 0) {
       buckets.emplace_back(static_cast<std::uint8_t>(b), c);
     }
   }
-  const RunningStats& s = m.process_nanos;
-  All(m.name, m.items_in, m.items_out, s.count(), s.mean(), s.m2(), s.min(),
-      s.max(), buckets);
+  (*this)(buckets);
 }
 
-Status Reader::operator()(OperatorMetrics& m) {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  double min = 0.0;
-  double max = 0.0;
+Status Reader::operator()(LogHistogram& h) {
   HistogramBuckets buckets;
-  DC_RET(All(m.name, m.items_in, m.items_out, count, mean, m2, min, max,
-             buckets));
-  m.process_nanos = RunningStats::FromRaw(count, mean, m2, min, max);
-  m.latency_ns = LogHistogram();
+  DC_RET((*this)(buckets));
+  h = LogHistogram();
   for (const auto& [b, c] : buckets) {
     if (b >= LogHistogram::num_buckets() || c == 0) {
       return Status::ParseError("bad histogram bucket");
     }
-    m.latency_ns.AddBucketCount(b, c);
+    h.AddBucketCount(b, c);
   }
   return Status::OK();
 }

@@ -30,9 +30,8 @@ namespace datacron {
 /// list does not travel. A new enum also declares its largest value
 /// (`EnumMax`), a new message its `kType`, its `Fields` list and its
 /// Encode/Decode instantiation, all in codec.cc. Two leaves are written
-/// by hand: OperatorMetrics (raw Welford state plus a sparse histogram)
-/// and SubscriptionSpec (a tagged union inside a nested, length-bounded
-/// payload).
+/// by hand: LogHistogram (its nonzero buckets) and SubscriptionSpec (a
+/// tagged union inside a nested, length-bounded payload).
 ///
 /// Flow (coordinator <-> node):
 ///
@@ -49,7 +48,7 @@ namespace datacron {
 ///   coordinator -> FlushRequest     end-of-stream
 ///   node        -> FlushResult      the node's KeyedFlush
 ///   coordinator -> MetricsRequest
-///   node        -> MetricsResult    keyed operator rows, raw counters
+///   node        -> MetricsResult    the node engine's MetricsSnapshot
 ///   coordinator -> Shutdown         node serve loop exits
 ///
 /// Subscription tier (subscriber <-> coordinator, coordinator -> node):
@@ -151,10 +150,13 @@ struct FlushResultMsg {
   bool operator==(const FlushResultMsg&) const = default;
 };
 
+/// A node engine's DatacronEngine::MetricsSnapshot: its counters, gauges
+/// and histograms, each map in name order. The coordinator merges every
+/// node's snapshot into its own.
 struct MetricsResultMsg {
   static constexpr MsgType kType = MsgType::kMetricsResult;
 
-  std::vector<MetricsRow> rows;
+  obs::MetricsSnapshot snapshot;
 
   bool operator==(const MetricsResultMsg&) const = default;
 };

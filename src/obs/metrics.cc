@@ -174,7 +174,12 @@ void AddOperatorMetrics(const std::string& prefix, const OperatorMetrics& m,
                         MetricsSnapshot* snap) {
   snap->AddCounter(prefix + ".items_in", m.items_in);
   snap->AddCounter(prefix + ".items_out", m.items_out);
-  snap->AddHistogram(prefix + ".process_ns", m.latency_ns);
+  if (m.latency_ns.count() > 0) {
+    snap->AddHistogram(prefix + ".process_ns", m.latency_ns);
+  }
+  if (m.epoch_ns.count() > 0) {
+    snap->AddHistogram(prefix + ".epoch_ns", m.epoch_ns);
+  }
 }
 
 }  // namespace obs

@@ -84,7 +84,8 @@ class AtomicLogHistogram {
 };
 
 /// A point-in-time copy of a registry (or of any other metrics source —
-/// the engine's operator table folds in through AddOperatorMetrics).
+/// DatacronEngine::MetricsSnapshot builds one from its operators through
+/// AddOperatorMetrics).
 /// Snapshots merge across shards, nodes and processes, and dump to a
 /// stable sorted text table or JSON object.
 struct MetricsSnapshot {
@@ -139,10 +140,11 @@ class MetricsRegistry {
       histograms_;
 };
 
-/// Folds one operator's legacy counters (stream/operator.h) into a
-/// snapshot as "<prefix>.items_in", "<prefix>.items_out" counters and a
-/// "<prefix>.process_ns" histogram — the bridge that lets the scattered
-/// OperatorMetrics tables land in the unified snapshot.
+/// Folds one operator's counters (stream/operator.h) into a snapshot as
+/// "<prefix>.items_in" and "<prefix>.items_out" counters plus one
+/// histogram per latency unit that has samples: "<prefix>.process_ns"
+/// (per ProcessCounted item) and "<prefix>.epoch_ns" (per CountBatch
+/// batch). Folding several instances under one prefix merges them.
 void AddOperatorMetrics(const std::string& prefix, const OperatorMetrics& m,
                         MetricsSnapshot* snap);
 

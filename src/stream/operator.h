@@ -24,7 +24,9 @@ namespace datacron {
 enum class StageKind : std::uint8_t { kKeyed = 0, kGlobal };
 
 /// Per-operator counters; each operator owns one and the pipeline runner
-/// aggregates them. Latency is measured per Process() call in nanoseconds.
+/// aggregates them. Latency is in nanoseconds, in one of two units that
+/// never share a histogram: per Process() call (ProcessCounted) or per
+/// batch (CountBatch — the engine's epoch-batched global CEP).
 ///
 /// The counters are deliberately *mergeable* (Merge below): anything that
 /// runs an operator from more than one thread — the sharded runtime's
@@ -35,9 +37,10 @@ struct OperatorMetrics {
   std::string name;
   std::size_t items_in = 0;
   std::size_t items_out = 0;
-  RunningStats process_nanos;
-  /// Same samples as process_nanos, log-bucketed for p50/p99 readout.
+  /// One sample per ProcessCounted call.
   LogHistogram latency_ns;
+  /// One sample per CountBatch call (an epoch, in the engine).
+  LogHistogram epoch_ns;
 
   double SelectivityPct() const {
     return items_in == 0 ? 0.0 : 100.0 * items_out / items_in;
@@ -51,8 +54,8 @@ struct OperatorMetrics {
     if (name.empty()) name = other.name;
     items_in += other.items_in;
     items_out += other.items_out;
-    process_nanos.Merge(other.process_nanos);
     latency_ns.Merge(other.latency_ns);
+    epoch_ns.Merge(other.epoch_ns);
   }
 };
 
@@ -77,9 +80,7 @@ class Operator {
     const std::size_t before = out->size();
     const std::int64_t t0 = MonotonicNanos();
     Process(item, out);
-    const double dt = static_cast<double>(MonotonicNanos() - t0);
-    metrics_.process_nanos.Add(dt);
-    metrics_.latency_ns.Add(dt);
+    metrics_.latency_ns.Add(static_cast<double>(MonotonicNanos() - t0));
     ++metrics_.items_in;
     metrics_.items_out += out->size() - before;
   }
@@ -90,13 +91,11 @@ class Operator {
   /// Metrics accounting for operators that consume whole batches outside
   /// ProcessCounted (the epoch-batched global CEP path): `items_in`
   /// elements in, `items_out` emitted, one latency sample covering the
-  /// whole batch. Keeps items_in/out comparable with a per-item run while
-  /// making explicit that the latency distribution is per batch.
+  /// whole batch, in epoch_ns and so apart from the per-item samples.
+  /// Keeps items_in/out comparable with a per-item run.
   void CountBatch(std::size_t items_in, std::size_t items_out,
                   std::int64_t nanos) {
-    const double dt = static_cast<double>(nanos);
-    metrics_.process_nanos.Add(dt);
-    metrics_.latency_ns.Add(dt);
+    metrics_.epoch_ns.Add(static_cast<double>(nanos));
     metrics_.items_in += items_in;
     metrics_.items_out += items_out;
   }

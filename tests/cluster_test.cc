@@ -275,6 +275,50 @@ TEST(ClusterTest, FleetMetricsMergeAcrossNodes) {
   ASSERT_TRUE(cluster.value()->Stop().ok());
 }
 
+TEST(ClusterTest, FleetCountersEqualSerialCounters) {
+  const auto stream = MixedStream();
+  DatacronEngine serial(ClusterConfig());
+  for (const PositionReport& r : stream) serial.Ingest(r);
+  serial.Finish();
+  const obs::MetricsSnapshot expected = serial.MetricsSnapshot();
+  const auto compared = [](const std::string& name) {
+    return name.ends_with(".items_in") || name.ends_with(".items_out") ||
+           name == "engine.reports" || name == "engine.critical_points" ||
+           name == "engine.triples" || name == "engine.episodes";
+  };
+  for (const std::size_t nodes : {2u, 3u}) {
+    SCOPED_TRACE(nodes);
+    LocalCluster::Options opts;
+    opts.engine = ClusterConfig();
+    opts.num_nodes = nodes;
+    opts.wire = LocalCluster::Wire::kLoopback;
+    Result<std::unique_ptr<LocalCluster>> cluster = LocalCluster::Start(opts);
+    ASSERT_TRUE(cluster.ok());
+    ASSERT_TRUE(cluster.value()->engine().IngestBatch(stream).ok());
+    ASSERT_TRUE(cluster.value()->engine().Finish().ok());
+    Result<obs::MetricsSnapshot> fleet =
+        cluster.value()->engine().MetricsSnapshot();
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+
+    std::size_t checked = 0;
+    for (const auto& [name, value] : expected.counters) {
+      if (!compared(name)) continue;
+      ++checked;
+      const auto it = fleet.value().counters.find(name);
+      ASSERT_NE(it, fleet.value().counters.end()) << name;
+      EXPECT_EQ(it->second, value) << name;
+    }
+    // Eight operators' items_in and items_out, plus the four totals.
+    EXPECT_EQ(checked, 20u);
+    for (const auto& [name, value] : fleet.value().counters) {
+      if (compared(name)) {
+        EXPECT_EQ(expected.counters.count(name), 1u) << name;
+      }
+    }
+    ASSERT_TRUE(cluster.value()->Stop().ok());
+  }
+}
+
 /// Coordinator-side transport that, once armed, corrupts the next epoch
 /// result it receives: in the first report after the epoch's first one
 /// that has triples, the first triple's object becomes the id just past

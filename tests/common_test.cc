@@ -330,26 +330,6 @@ TEST(LogHistogramTest, AddBucketCountRoundTrip) {
   EXPECT_EQ(via_orig, via_rebuilt);
 }
 
-TEST(RunningStatsTest, FromRawRoundTrip) {
-  RunningStats s;
-  for (double x : {1.5, -2.0, 7.25, 0.0, 100.0}) s.Add(x);
-  RunningStats decoded = RunningStats::FromRaw(s.count(), s.mean(), s.m2(),
-                                               s.min(), s.max());
-  EXPECT_EQ(decoded, s);
-
-  // Merging through the decoded copy matches merging the original.
-  RunningStats other;
-  other.Add(3.0);
-  other.Add(-9.5);
-  RunningStats via_orig = s, via_decoded = decoded;
-  via_orig.Merge(other);
-  via_decoded.Merge(other);
-  EXPECT_EQ(via_orig, via_decoded);
-
-  RunningStats empty = RunningStats::FromRaw(0, 0, 0, 0, 0);
-  EXPECT_EQ(empty, RunningStats{});
-}
-
 // ---------------------------------------------------------------- Logging
 
 TEST(LoggingTest, CaptureSinkReceivesTaggedRecords) {

@@ -1,7 +1,8 @@
 // Byte-identity of the sharded engine runtime: IngestBatch at any shard
 // count must reproduce the serial Ingest loop exactly — events, triples,
 // episodes, trajectories and dictionary ids. Also unit-covers the
-// ShardedRuntime scheduling invariants and OperatorMetrics::Merge.
+// ShardedRuntime scheduling invariants, OperatorMetrics::Merge and the
+// engine's MetricsSnapshot (latency units, per-engine counts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -188,7 +189,7 @@ TEST(OperatorMetricsTest, MergeFoldsPerShardCopies) {
   EXPECT_EQ(merged.items_in, 30u);
   EXPECT_EQ(merged.items_out, 15u);
   EXPECT_DOUBLE_EQ(merged.SelectivityPct(), 50.0);
-  EXPECT_EQ(merged.process_nanos.count(), 30u);
+  EXPECT_EQ(merged.epoch_ns.count(), 0u);
   EXPECT_EQ(merged.latency_ns.count(), 30u);
   EXPECT_GE(merged.latency_ns.p99(), merged.latency_ns.p50());
 }
@@ -437,6 +438,81 @@ TEST(EngineShardTest, MetricsReportCoversAllDetectors) {
   // The merged keyed rows account for every report exactly once.
   EXPECT_NE(report.find("cep-keyed"), std::string::npos);
   EXPECT_NE(report.find("cep-global"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Engine metrics snapshot
+// ---------------------------------------------------------------------
+
+std::set<std::string> MetricNames(const obs::MetricsSnapshot& snap) {
+  std::set<std::string> names;
+  for (const auto& [name, v] : snap.counters) names.insert(name);
+  for (const auto& [name, v] : snap.gauges) names.insert(name);
+  for (const auto& [name, h] : snap.histograms) names.insert(name);
+  return names;
+}
+
+TEST(EngineMetricsTest, EpochBatchSamplesHaveTheirOwnHistogram) {
+  const auto stream = MixedStream();
+  DatacronEngine serial(ShardConfig(1, 1024));
+  for (const PositionReport& r : stream) serial.Ingest(r);
+  DatacronEngine sharded(ShardConfig(2, 128));
+  ThreadPool pool(2);
+  sharded.IngestBatch(stream, &pool);
+
+  const std::string prox = "engine.cep-global.proximity_detector";
+  // Serial Ingest is an epoch of one report.
+  for (const auto& [engine, epochs] :
+       {std::pair{&serial, stream.size()},
+        std::pair{&sharded, (stream.size() + 127) / 128}}) {
+    SCOPED_TRACE(engine->num_shards());
+    obs::MetricsSnapshot snap = engine->MetricsSnapshot();
+    EXPECT_EQ(snap.histograms.count(prox + ".process_ns"), 0u);
+    EXPECT_EQ(snap.histograms[prox + ".epoch_ns"].count(), epochs);
+    EXPECT_EQ(snap.counters[prox + ".items_in"], stream.size());
+    for (const auto& [name, h] : snap.histograms) {
+      if (!name.ends_with(".epoch_ns")) continue;
+      const std::string op = name.substr(0, name.size() - 9);
+      EXPECT_EQ(snap.histograms.count(op + ".process_ns"), 0u) << name;
+    }
+  }
+}
+
+TEST(EngineMetricsTest, TwoEnginesInOneProcessKeepDisjointMetrics) {
+  const auto stream = MixedStream();
+  const std::span<const PositionReport> all(stream);
+  const std::size_t short_len = stream.size() / 3;
+  DatacronEngine a(ShardConfig(1, 1024));
+  DatacronEngine b(ShardConfig(2, 64));
+  ThreadPool pool(2);
+  // Interleave the two engines' work.
+  for (const PositionReport& r : all.first(stream.size() / 2)) a.Ingest(r);
+  b.IngestBatch(all.first(short_len), &pool);
+  for (const PositionReport& r : all.subspan(stream.size() / 2)) a.Ingest(r);
+
+  const std::set<std::string> global =
+      MetricNames(obs::MetricsRegistry::Global().Snapshot());
+  for (const auto& [engine, reports] :
+       {std::pair{&a, stream.size()}, std::pair{&b, short_len}}) {
+    SCOPED_TRACE(reports);
+    obs::MetricsSnapshot snap = engine->MetricsSnapshot();
+    EXPECT_EQ(snap.counters["engine.reports"], reports);
+    for (const char* stage :
+         {"engine.synopses_ns", "engine.transform_ns", "engine.trajectory_ns",
+          "engine.cep_ns", "engine.total_ns"}) {
+      EXPECT_EQ(snap.histograms[stage].count(), reports) << stage;
+    }
+    std::size_t operators = 0;
+    for (const auto& [name, items_in] : snap.counters) {
+      if (!name.ends_with(".items_in")) continue;
+      ++operators;
+      EXPECT_EQ(items_in, reports) << name;
+    }
+    EXPECT_EQ(operators, 8u);
+    for (const std::string& name : MetricNames(snap)) {
+      EXPECT_EQ(global.count(name), 0u) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -76,12 +76,13 @@ TEST(EngineTest, LatenciesAreMilliseconds) {
   DatacronEngine engine(EngineConfig());
   const auto stream = FleetStream(10, 20 * kMinute);
   for (const auto& r : stream) engine.Ingest(r);
-  const auto& lat = engine.latencies();
-  EXPECT_EQ(lat.total_ms.count(), stream.size());
+  const LogHistogram total =
+      engine.MetricsSnapshot().histograms["engine.total_ns"];
+  EXPECT_EQ(total.count(), stream.size());
   // The paper's operational requirement: per-tuple latency in (fractions
   // of) milliseconds. Require p99 under 10 ms on any sane machine.
-  EXPECT_LT(lat.total_ms.p99(), 10.0);
-  EXPECT_GT(lat.total_ms.Max(), 0.0);
+  EXPECT_LT(total.p99(), 10.0 * 1e6);
+  EXPECT_GT(total.Percentile(100), 0.0);
 }
 
 TEST(EngineTest, AreaEventsForConfiguredAreas) {

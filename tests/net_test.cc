@@ -230,20 +230,22 @@ CriticalPoint RandCriticalPoint(Rng& rng) {
   return cp;
 }
 
-MetricsRow RandMetricsRow(Rng& rng) {
-  MetricsRow row;
-  row.stage = RandString(rng, 10);
-  row.metrics.name = RandString(rng, 16);
-  const std::size_t samples = static_cast<std::size_t>(rng.UniformInt(0, 64));
-  for (std::size_t i = 0; i < samples; ++i) {
-    const double ns = rng.Uniform(10, 1e7);
-    row.metrics.process_nanos.Add(ns);
-    row.metrics.latency_ns.Add(ns);
+obs::MetricsSnapshot RandMetricsSnapshot(Rng& rng) {
+  obs::MetricsSnapshot snap;
+  for (std::int64_t i = rng.UniformInt(0, 6); i > 0; --i) {
+    snap.counters[RandString(rng, 24)] = rng.NextUint64();
   }
-  row.metrics.items_in = samples;
-  row.metrics.items_out = samples / 2;
-  row.instances = static_cast<std::size_t>(rng.UniformInt(1, 8));
-  return row;
+  for (std::int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
+    snap.gauges[RandString(rng, 24)] =
+        static_cast<std::int64_t>(rng.NextUint64());
+  }
+  for (std::int64_t i = rng.UniformInt(0, 4); i > 0; --i) {
+    LogHistogram& h = snap.histograms[RandString(rng, 24)];
+    for (std::int64_t j = rng.UniformInt(0, 64); j > 0; --j) {
+      h.Add(rng.Uniform(0, 1e7));
+    }
+  }
+  return snap;
 }
 
 template <typename Msg>
@@ -317,9 +319,7 @@ TEST(CodecTest, RoundTripPropertyOverRandomMessages) {
     ExpectRoundTrip(flush);
 
     MetricsResultMsg metrics;
-    for (std::int64_t i = rng.UniformInt(0, 6); i > 0; --i) {
-      metrics.rows.push_back(RandMetricsRow(rng));
-    }
+    metrics.snapshot = RandMetricsSnapshot(rng);
     ExpectRoundTrip(metrics);
   }
 }
@@ -454,25 +454,32 @@ TEST(CodecTest, SubscribePredicatePayloadBoundsAreEnforced) {
 }
 
 TEST(CodecTest, MetricsRoundTripPreservesMergeBehavior) {
-  // The raw Welford + histogram-bucket encoding must reproduce an
-  // accumulator that merges exactly like the original — that is what
-  // makes fleet-wide metrics merging across processes possible.
+  // The histogram-bucket encoding must reproduce snapshots that merge
+  // exactly like the originals — that is what makes fleet-wide metrics
+  // merging across processes possible.
   Rng rng(0x5EED);
-  MetricsRow a = RandMetricsRow(rng);
-  MetricsRow b = RandMetricsRow(rng);
-  MetricsResultMsg msg;
-  msg.rows = {a, b};
-  MetricsResultMsg decoded;
-  ASSERT_TRUE(Decode(Encode(msg), &decoded).ok());
+  MetricsResultMsg a;
+  MetricsResultMsg b;
+  a.snapshot = RandMetricsSnapshot(rng);
+  b.snapshot = RandMetricsSnapshot(rng);
+  // One name in both, so the merge folds something.
+  a.snapshot.counters["op.items_in"] = 3;
+  b.snapshot.counters["op.items_in"] = 4;
+  a.snapshot.histograms["op.process_ns"].Add(100);
+  b.snapshot.histograms["op.process_ns"].Add(1e6);
+  MetricsResultMsg a_decoded;
+  MetricsResultMsg b_decoded;
+  ASSERT_TRUE(Decode(Encode(a), &a_decoded).ok());
+  ASSERT_TRUE(Decode(Encode(b), &b_decoded).ok());
 
-  OperatorMetrics direct = a.metrics;
-  direct.Merge(b.metrics);
-  OperatorMetrics via_wire = decoded.rows[0].metrics;
-  via_wire.Merge(decoded.rows[1].metrics);
+  obs::MetricsSnapshot direct = a.snapshot;
+  direct.Merge(b.snapshot);
+  obs::MetricsSnapshot via_wire = a_decoded.snapshot;
+  via_wire.Merge(b_decoded.snapshot);
   EXPECT_TRUE(direct == via_wire);
-  EXPECT_DOUBLE_EQ(direct.process_nanos.mean(),
-                   via_wire.process_nanos.mean());
-  EXPECT_DOUBLE_EQ(direct.latency_ns.p99(), via_wire.latency_ns.p99());
+  EXPECT_EQ(via_wire.counters["op.items_in"], 7u);
+  EXPECT_DOUBLE_EQ(direct.histograms["op.process_ns"].p99(),
+                   via_wire.histograms["op.process_ns"].p99());
 }
 
 TEST(CodecTest, TruncatedPayloadsAreRejectedAtEveryPrefix) {
@@ -488,7 +495,9 @@ TEST(CodecTest, TruncatedPayloadsAreRejectedAtEveryPrefix) {
   ExpectTruncationRejected(flush);
 
   MetricsResultMsg metrics;
-  metrics.rows.push_back(RandMetricsRow(rng));
+  metrics.snapshot.counters["engine.reports"] = 42;
+  metrics.snapshot.gauges["engine.admission.policy"] = 1;
+  metrics.snapshot.histograms["engine.total_ns"].Add(5000);
   ExpectTruncationRejected(metrics);
 }
 
@@ -555,7 +564,8 @@ SequenceCase MakeSequenceCase(std::string field, const Msg& empty,
 /// element sizes are the wire layout's minimums: report 61, event 53,
 /// episode 89, triple 24, term 5, tag 24, node-geo 40, lat/lon 16, sub
 /// delta 29, sub count 16, critical point 62, continuation 14, slot 68,
-/// metrics row 76, entity id 4, attribute 12, histogram bucket 9.
+/// entity id 4, attribute 12, counter 12, gauge 12, histogram 8,
+/// histogram bucket 9.
 std::vector<SequenceCase> SequenceFieldCases() {
   // More elements than there are payload bytes after the sequence, so a
   // per-element minimum even one byte too large rejects the filled frame.
@@ -624,21 +634,32 @@ std::vector<SequenceCase> SequenceFieldCases() {
   cases.push_back(MakeSequenceCase("FlushResult.events[0].attributes",
                                    flush_event, attributes, 1, 12));
 
-  MetricsResultMsg rows;
-  rows.rows.resize(kMany);
-  cases.push_back(MakeSequenceCase("MetricsResult.rows", MetricsResultMsg{},
-                                   rows, kMany, 76));
+  // Snapshot maps are keyed by name, so each holds one default element.
+  // Only the histograms map ends the frame; the counters and gauges maps
+  // are followed by the later maps' counts (8 and 4 bytes of slack).
+  MetricsResultMsg counters;
+  counters.snapshot.counters[""] = 0;
+  cases.push_back(MakeSequenceCase("MetricsResult.snapshot.counters",
+                                   MetricsResultMsg{}, counters, 1, 12));
+  MetricsResultMsg gauges;
+  gauges.snapshot.gauges[""] = 0;
+  cases.push_back(MakeSequenceCase("MetricsResult.snapshot.gauges",
+                                   MetricsResultMsg{}, gauges, 1, 12));
+  MetricsResultMsg one_histogram;
+  one_histogram.snapshot.histograms[""] = LogHistogram();
+  cases.push_back(MakeSequenceCase("MetricsResult.snapshot.histograms",
+                                   MetricsResultMsg{}, one_histogram, 1, 8));
 
   // Histogram buckets must be nonzero, so the minimum-size bucket is any
   // (index, count) pair; all 64 buckets are filled.
-  MetricsResultMsg one_row;
-  one_row.rows.resize(1);
-  MetricsResultMsg buckets = one_row;
+  MetricsResultMsg buckets = one_histogram;
   for (std::size_t b = 0; b < LogHistogram::num_buckets(); ++b) {
-    buckets.rows[0].metrics.latency_ns.AddBucketCount(b, 1);
+    buckets.snapshot.histograms[""].AddBucketCount(b, 1);
   }
-  cases.push_back(MakeSequenceCase("MetricsResult.rows[0].buckets", one_row,
-                                   buckets, LogHistogram::num_buckets(), 9));
+  cases.push_back(
+      MakeSequenceCase("MetricsResult.snapshot.histograms[0].buckets",
+                       one_histogram, buckets, LogHistogram::num_buckets(),
+                       9));
 
   // The polygon sits in the nested predicate payload, whose length prefix
   // differs first: its count follows the envelope, id, subscriber, that
@@ -881,18 +902,12 @@ FlushResultMsg GoldenFlushResult() {
 }
 
 MetricsResultMsg GoldenMetricsResult() {
-  MetricsRow row;
-  row.stage = "synopses";
-  row.metrics.name = "cp";
-  row.metrics.items_in = 3;
-  row.metrics.items_out = 1;
-  for (const double ns : {128.0, 512.0, 1024.0}) {
-    row.metrics.process_nanos.Add(ns);
-    row.metrics.latency_ns.Add(ns);
-  }
-  row.instances = 2;
   MetricsResultMsg msg;
-  msg.rows = {row};
+  msg.snapshot.counters = {{"cp.items_in", 3}, {"cp.items_out", 1}};
+  msg.snapshot.gauges = {{"policy", -2}};
+  for (const double ns : {128.0, 512.0, 1024.0}) {
+    msg.snapshot.histograms["cp.process_ns"].Add(ns);
+  }
   return msg;
 }
 
@@ -998,10 +1013,10 @@ TEST(CodecTest, GoldenFramesMatchTheCommittedLayout) {
   {
     SCOPED_TRACE("MetricsResult");
     ExpectGolden(GoldenMetricsResult(),
-        "0800010000000800000073796e6f707365730200000063700300000000000000"
-        "010000000000000003000000000000005555555555558140abaaaaaaaaaa1841"
-        "00000000000060400000000000009040030000000801000000000000000a0100"
-        "0000000000000b01000000000000000200000000000000");
+        "0800020000000b00000063702e6974656d735f696e03000000000000000c0000"
+        "0063702e6974656d735f6f757401000000000000000100000006000000706f6c"
+        "696379feffffffffffffff010000000d00000063702e70726f636573735f6e73"
+        "030000000801000000000000000a01000000000000000b0100000000000000");
   }
   {
     SCOPED_TRACE("Subscribe geofence");
